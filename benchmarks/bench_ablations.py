@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md §5.
+"""Ablation benchmarks for IPSS's design choices.
 
 * IPSS with vs without the balanced (k*+1) phase-2 sample (constraint (3) of
   Alg. 3): the phase-2 sample should not hurt accuracy and should spend the

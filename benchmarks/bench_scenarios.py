@@ -9,7 +9,7 @@ engine makes:
   **strictly last** (precision@k = 1.0), and
 * the warm rerun of the whole campaign performs **zero** FL trainings.
 
-The saved report is the robustness summary table for EXPERIMENTS.md.
+The saved report is the robustness summary table.
 """
 
 from __future__ import annotations

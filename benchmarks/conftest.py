@@ -1,9 +1,8 @@
 """Shared fixtures and helpers for the benchmark suite.
 
-Every benchmark regenerates one of the paper's tables or figures (see
-DESIGN.md section 4) at a reduced scale, records the headline numbers in
-``benchmark.extra_info`` and writes the full text rendering to
-``benchmarks/results/<name>.txt`` so EXPERIMENTS.md can quote it.
+Every benchmark regenerates one of the paper's tables or figures at a
+reduced scale, records the headline numbers in ``benchmark.extra_info`` and
+writes the full text rendering to ``benchmarks/results/<name>.txt``.
 
 The benchmarks are experiment regenerations, not micro-benchmarks, so each is
 run exactly once (``pedantic`` with one round).

@@ -52,7 +52,7 @@ def main() -> None:
         client_datasets=clients,
         test_dataset=test,
         # Small batches keep the per-round SGD step count high enough that
-        # coalition models actually fit their data (see DESIGN.md).
+        # coalition models actually fit their data.
         model_factory=lambda: MLPClassifier(
             n_features=test.n_features,
             n_classes=10,

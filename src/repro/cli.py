@@ -92,6 +92,7 @@ from repro.experiments.pipeline import (
     ExperimentPlan,
     RunReport,
     available_algorithms,
+    fleet_fields_to_dict,
     resume_run,
     run_plan,
 )
@@ -482,25 +483,11 @@ def _open_store_arg(args) -> Optional[object]:
     return open_store(args.store, backend=getattr(args, "store_backend", None))
 
 
-def _fleet_overrides(args) -> dict:
-    """Fleet execution flags, normalised for dataclasses.replace / the plan."""
-    overrides = {}
-    if getattr(args, "queue_dir", None):
-        overrides["queue_dir"] = args.queue_dir
-    if getattr(args, "spawn_workers", 0):
-        overrides["spawn_workers"] = args.spawn_workers
-    if getattr(args, "worker_backend", None):
-        overrides["worker_backend"] = args.worker_backend
-    if getattr(args, "lease_seconds", 30.0) != 30.0:
-        overrides["lease_seconds"] = args.lease_seconds
-    return overrides
-
-
 def _plan_from_args(args) -> ExperimentPlan:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
             plan = ExperimentPlan.from_dict(json.load(handle))
-        overrides = _fleet_overrides(args)
+        overrides = fleet_fields_to_dict(args)
         if args.backend:
             # Executor choice is machine-local, not plan content: a CLI
             # override neither changes values nor the plan fingerprint.
@@ -522,7 +509,7 @@ def _plan_from_args(args) -> ExperimentPlan:
         algorithms=_algorithms_from_args(args) or DEFAULT_ALGORITHMS,
         n_workers=args.n_workers,
         backend=args.backend,
-        **_fleet_overrides(args),
+        **fleet_fields_to_dict(args),
     )
 
 

@@ -245,8 +245,7 @@ class ValuationSnapshot:
     per-client standard error (the exact schemes, IPSS's exhaustive phase 1 —
     IPSS's phase-2 chunks report a remaining-uncertainty residual instead);
     ``state`` references the live :class:`EstimatorState` (checkpoint it with
-    ``state.to_dict()``) and is ``None`` for single-chunk adapters that cannot
-    be resumed mid-run.
+    ``state.to_dict()``).
     """
 
     algorithm: str

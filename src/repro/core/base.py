@@ -1,20 +1,25 @@
-"""Base classes for valuation algorithms.
+"""The valuation-algorithm hierarchy.
 
-Two families exist, mirroring the paper's taxonomy (Sec. II-C):
+Every algorithm is a :class:`ValuationAlgorithm`: it consumes a utility
+oracle ``U(S)`` — any callable that maps a coalition to a float and
+optionally exposes ``evaluations`` / ``n_clients`` — and runs as a stream of
+checkpointable chunks (:meth:`ValuationAlgorithm.iter_run`).  Two families
+share that root, mirroring the paper's taxonomy (Sec. II-C):
 
-* **Utility-based** algorithms (exact schemes, the stratified framework,
-  K-Greedy, IPSS, Extended-TMC, Extended-GTB, CC-Shapley, DIG-FL) consume a
-  utility oracle ``U(S)`` — any callable that maps a coalition to a float and
-  optionally exposes ``evaluations`` / ``n_clients``.
-* **Gradient-based** algorithms (OR, λ-MR, GTG-Shapley) consume the training
-  history of the grand-coalition FL run and reconstruct coalition models from
-  recorded client updates instead of retraining.
+* **Utility-based** algorithms (the exact schemes, the stratified framework,
+  K-Greedy, IPSS, Extended-TMC, Extended-GTB, CC-Shapley) evaluate coalition
+  utilities through the oracle, chunk by chunk.
+* **Gradient-based** algorithms (:class:`GradientBasedValuation`: OR, λ-MR,
+  GTG-Shapley, DIG-FL) run one chunk: they train the grand coalition once
+  through the oracle's FL trainer, recording its history, and reconstruct
+  coalition models from the recorded client updates instead of retraining.
 """
 
 from __future__ import annotations
 
 import abc
 import itertools
+import time
 from typing import Callable, Iterable, Iterator, Optional, Protocol, runtime_checkable
 
 import numpy as np
@@ -30,7 +35,6 @@ from repro.core.anytime import (
 from repro.core.result import ValuationResult
 from repro.parallel.batch_oracle import coalition_batch_keys
 from repro.utils.rng import RandomState, SeedLike
-from repro.utils.timer import Timer
 
 UtilityFunction = Callable[[Iterable[int]], float]
 
@@ -105,6 +109,10 @@ class ValuationAlgorithm(abc.ABC):
     #: whether this algorithm yields more than one chunk (and therefore
     #: supports mid-run checkpointing / convergence-based early stop)
     incremental: bool = False
+
+    #: evaluations each chunk pays outside the oracle's own counter (the
+    #: gradient family's grand-coalition training); ``iter_run`` adds them
+    external_evaluations_per_chunk: int = 0
 
     def __init__(self, seed: SeedLike = None) -> None:
         self.seed = seed
@@ -201,15 +209,23 @@ class ValuationAlgorithm(abc.ABC):
             if state.done:
                 yield self._snapshot(state)
                 return
+            if not self.incremental:
+                raise ValueError(
+                    f"{self.name} is single-chunk and cannot resume from a "
+                    "mid-run estimator checkpoint"
+                )
             if state.rng_state is None:
                 raise ValueError("estimator state carries no RNG state")
             rng = restore_rng(state.rng_state)
         while not state.done:
             evaluations_before = _evaluation_count(utility)
-            with Timer() as timer:
-                step = self._incremental_step(utility, n, rng, state.payload)
-            state.evaluations += _evaluation_count(utility) - evaluations_before
-            state.elapsed_seconds += timer.elapsed
+            started = time.perf_counter()
+            step = self._incremental_step(utility, n, rng, state.payload)
+            state.elapsed_seconds += time.perf_counter() - started
+            state.evaluations += (
+                _evaluation_count(utility) - evaluations_before
+                + self.external_evaluations_per_chunk
+            )
             state.chunk_index += 1
             state.done = bool(step.done)
             state.rng_state = capture_rng_state(rng)
@@ -332,98 +348,61 @@ class ValuationAlgorithm(abc.ABC):
         return {}
 
 
-class GradientBasedValuation(abc.ABC):
-    """Base class for algorithms that reconstruct models from FL history.
+class GradientBasedValuation(ValuationAlgorithm):
+    """Single-chunk algorithms that value clients from the FL training history.
 
-    Subclasses receive a :class:`~repro.fl.history.TrainingHistory`, a template
-    parametric model (used to evaluate reconstructed parameter vectors) and
-    the test dataset; they never retrain FL models.
+    The oracle must expose its :class:`~repro.fl.federation.FederatedTrainer`
+    as ``utility.trainer``.  The one chunk trains the grand coalition with
+    history recording — outside the oracle's cache and store, so it counts
+    as one external evaluation — and hands the history, a template
+    parametric model and the test dataset to :meth:`_estimate_from_history`,
+    which reconstructs coalition models instead of retraining.  Tree-model
+    oracles raise, matching the paper's remark that gradient-based
+    approximation is not applicable to XGBoost.
     """
 
     name: str = "gradient-base"
+    external_evaluations_per_chunk = 1
 
     def __init__(self, seed: SeedLike = None) -> None:
-        self.seed = seed
+        super().__init__(seed=seed)
         self._model_evaluations = 0
 
     @abc.abstractmethod
-    def _estimate(self, history, model, test_dataset, rng) -> np.ndarray:
+    def _estimate_from_history(self, history, model, test_dataset, rng) -> np.ndarray:
         """Return estimated values given the recorded training history."""
 
-    def run_from_history(self, history, model, test_dataset) -> ValuationResult:
-        """Estimate values from an already-recorded grand-coalition history."""
-        rng = RandomState(self.seed)
-        self._model_evaluations = 0
-        n = len(history.clients())
-        with Timer() as timer:
-            values = self._estimate(history, model, test_dataset, rng)
-        return ValuationResult(
-            values=np.asarray(values, dtype=float),
-            algorithm=self.name,
-            n_clients=n,
-            utility_evaluations=1,  # the single grand-coalition FL training
-            elapsed_seconds=timer.elapsed,
-            metadata={"model_evaluations": self._model_evaluations, **self._metadata()},
-        )
-
-    def run(self, utility, n_clients: Optional[int] = None) -> ValuationResult:
-        """Estimate values from a :class:`~repro.fl.utility.CoalitionUtility`.
-
-        The oracle must expose its :class:`~repro.fl.federation.FederatedTrainer`
-        (as ``utility.trainer``) so the grand-coalition training history can be
-        produced; tree-model oracles raise, matching the paper's remark that
-        gradient-based approximation is not applicable to XGBoost.
-        """
+    def _estimate(
+        self,
+        utility: UtilityFunction,
+        n_clients: int,
+        rng: np.random.Generator,
+    ) -> np.ndarray:
         trainer = getattr(utility, "trainer", None)
         if trainer is None:
             raise TypeError(
                 f"{self.name} is gradient-based and requires a CoalitionUtility "
                 "backed by a FederatedTrainer"
             )
+        self._model_evaluations = 0
+        history = trainer.grand_coalition_history()
+        return self._estimate_from_history(
+            history, trainer.template_model(), trainer.test_dataset, rng
+        )
+
+    def run_from_history(self, history, model, test_dataset) -> ValuationResult:
+        """Estimate values from an already-recorded grand-coalition history."""
         rng = RandomState(self.seed)
         self._model_evaluations = 0
-        n = infer_n_clients(utility, n_clients)
-        with Timer() as timer:
-            history = trainer.grand_coalition_history()
-            model = trainer.template_model()
-            values = self._estimate(history, model, trainer.test_dataset, rng)
+        started = time.perf_counter()
+        values = self._estimate_from_history(history, model, test_dataset, rng)
         return ValuationResult(
             values=np.asarray(values, dtype=float),
             algorithm=self.name,
-            n_clients=n,
-            utility_evaluations=1,
-            elapsed_seconds=timer.elapsed,
-            metadata={"model_evaluations": self._model_evaluations, **self._metadata()},
-        )
-
-    def iter_run(
-        self,
-        utility,
-        n_clients: Optional[int] = None,
-        state: Optional[EstimatorState] = None,
-    ) -> Iterator[ValuationSnapshot]:
-        """Single-chunk anytime adapter for the gradient-based family.
-
-        Gradient-based methods replay one recorded FL history, so there is no
-        meaningful chunk boundary to checkpoint at; the adapter exists so the
-        pipeline and CLI can treat every registered algorithm uniformly.
-        """
-        if state is not None:
-            raise ValueError(
-                f"{self.name} is gradient-based (single-chunk) and cannot "
-                "resume from an estimator checkpoint"
-            )
-        result = self.run(utility, n_clients)
-        yield ValuationSnapshot(
-            algorithm=self.name,
-            n_clients=result.n_clients,
-            values=result.values,
-            evaluations=result.utility_evaluations,
-            elapsed_seconds=result.elapsed_seconds,
-            chunk_index=1,
-            done=True,
-            metadata=dict(result.metadata),
-            state=None,
+            n_clients=len(history.clients()),
+            utility_evaluations=1,  # the single grand-coalition FL training
+            elapsed_seconds=time.perf_counter() - started,
+            metadata=self._metadata(),
         )
 
     def _evaluate_parameters(self, model, parameters: np.ndarray, test_dataset) -> float:
@@ -433,4 +412,4 @@ class GradientBasedValuation(abc.ABC):
         return float(model.evaluate(test_dataset))
 
     def _metadata(self) -> dict:
-        return {}
+        return {"model_evaluations": self._model_evaluations}

@@ -35,7 +35,7 @@ class DIGFL(GradientBasedValuation):
         super().__init__(seed=seed)
         self._rounds_scored = 0
 
-    def _estimate(self, history, model, test_dataset, rng) -> np.ndarray:
+    def _estimate_from_history(self, history, model, test_dataset, rng) -> np.ndarray:
         clients = history.clients()
         n_clients = len(clients)
         index_of = {client: position for position, client in enumerate(clients)}
@@ -74,4 +74,4 @@ class DIGFL(GradientBasedValuation):
         return values
 
     def _metadata(self) -> dict:
-        return {"rounds_scored": self._rounds_scored}
+        return {**super()._metadata(), "rounds_scored": self._rounds_scored}

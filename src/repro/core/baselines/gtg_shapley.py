@@ -54,7 +54,7 @@ class GTGShapley(GradientBasedValuation):
         self.truncation_tolerance = truncation_tolerance
         self._rounds_skipped = 0
 
-    def _estimate(self, history, model, test_dataset, rng) -> np.ndarray:
+    def _estimate_from_history(self, history, model, test_dataset, rng) -> np.ndarray:
         clients = history.clients()
         n_clients = len(clients)
         index_to_client = {index: client for index, client in enumerate(clients)}
@@ -115,6 +115,7 @@ class GTGShapley(GradientBasedValuation):
 
     def _metadata(self) -> dict:
         return {
+            **super()._metadata(),
             "permutations_per_round": self.permutations_per_round,
             "round_tolerance": self.round_tolerance,
             "truncation_tolerance": self.truncation_tolerance,

@@ -60,7 +60,7 @@ class LambdaMR(GradientBasedValuation):
         weights = np.power(self.decay, np.arange(n_rounds, dtype=float))
         return weights / weights.sum()
 
-    def _estimate(self, history, model, test_dataset, rng) -> np.ndarray:
+    def _estimate_from_history(self, history, model, test_dataset, rng) -> np.ndarray:
         clients = history.clients()
         n_clients = len(clients)
         check_enumeration_limit(
@@ -92,4 +92,4 @@ class LambdaMR(GradientBasedValuation):
         return values
 
     def _metadata(self) -> dict:
-        return {"decay": self.decay}
+        return {**super()._metadata(), "decay": self.decay}

@@ -47,7 +47,7 @@ class ORBaseline(GradientBasedValuation):
             else int(max_exact_clients)
         )
 
-    def _estimate(self, history, model, test_dataset, rng) -> np.ndarray:
+    def _estimate_from_history(self, history, model, test_dataset, rng) -> np.ndarray:
         clients = history.clients()
         n_clients = len(clients)
         check_enumeration_limit(

@@ -112,7 +112,7 @@ def efficiency_gap(values: np.ndarray, grand_utility: float, empty_utility: floa
     """|Σ φ_i − (U(N) − U(∅))| — how far the values are from efficiency.
 
     The exact Shapley value satisfies efficiency exactly; approximations do
-    not, and the gap is a useful diagnostic reported in EXPERIMENTS.md.
+    not, and the gap is a useful diagnostic.
     """
     values = np.asarray(values, dtype=float)
     return float(abs(values.sum() - (grand_utility - empty_utility)))

@@ -4,8 +4,7 @@ The paper evaluates on MNIST-derived synthetic splits and on FEMNIST / Adult /
 Sent-140.  Those corpora are not available offline, so this package provides
 synthetic generators that reproduce the *properties* the valuation experiments
 rely on (class structure, per-writer non-IID shift, tabular census-like
-features, monotone accuracy in data volume) at laptop scale.  See DESIGN.md
-section 2 for the substitution rationale.
+features, monotone accuracy in data volume) at laptop scale.
 """
 
 from repro.datasets.base import Dataset, train_test_split

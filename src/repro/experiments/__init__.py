@@ -2,10 +2,9 @@
 
 Each experiment (Table IV, Table V, Fig. 1b, Fig. 4, Fig. 6–10) has a
 dedicated function returning a plain-data report (rows / series) plus a text
-renderer, so the benchmark suite, the examples and EXPERIMENTS.md all use the
+renderer, so the benchmark suite, the examples and the CLI all use the
 same code path.  Scales are configurable: the ``tiny`` scale finishes each
-experiment in seconds for CI, the ``small`` scale is the default used to
-produce the numbers recorded in EXPERIMENTS.md, and the ``paper`` scale
+experiment in seconds for CI, the ``small`` scale is the default, and the ``paper`` scale
 mirrors the paper's client counts and sampling budgets.
 
 Tasks are described declaratively by :class:`TaskSpec` (registry-based,

@@ -81,7 +81,7 @@ class ExperimentScale:
 
     @classmethod
     def small(cls) -> "ExperimentScale":
-        """Default scale used to fill EXPERIMENTS.md (minutes overall)."""
+        """Default scale (minutes overall)."""
         return cls()
 
     @classmethod

@@ -11,6 +11,7 @@ invocations (regenerating a figure against a warm store retrains nothing).
 
 from __future__ import annotations
 
+import time
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,7 +36,6 @@ from repro.experiments.tasks import SYNTHETIC_SETUPS
 from repro.store import StoreLike
 from repro.utils.combinatorics import count_coalitions_up_to
 from repro.utils.rng import RandomState, spawn_rng
-from repro.utils.timer import Timer
 
 
 def _femnist_spec(
@@ -275,15 +275,16 @@ def figure8(
                 # (With store= given, coalitions persisted by earlier points
                 # still serve from disk — pass no store for pure timings.)
                 utility.reset_cache()
-                with Timer() as timer:
-                    result = algorithm.run(utility, n_clients)
+                started = time.perf_counter()
+                result = algorithm.run(utility, n_clients)
+                elapsed = time.perf_counter() - started
                 rows.append(
                     {
                         "algorithm": name,
                         "gamma": gamma,
                         "n": n_clients,
                         "model": model,
-                        "time_s": timer.elapsed,
+                        "time_s": elapsed,
                         "evaluations": result.utility_evaluations,
                         "error_l2": relative_error_l2(result.values, exact),
                     }
@@ -334,8 +335,9 @@ def figure9(
         with utility:
             for name, algorithm in algorithms.items():
                 utility.reset_cache()
-                with Timer() as timer:
-                    result = algorithm.run(utility, info["n_clients"])
+                started = time.perf_counter()
+                result = algorithm.run(utility, info["n_clients"])
+                elapsed = time.perf_counter() - started
                 proxy = fairness_proxy_error(
                     result.values, info["null_clients"], info["duplicate_groups"]
                 )
@@ -344,7 +346,7 @@ def figure9(
                         "n": info["n_clients"],
                         "gamma": gamma,
                         "algorithm": name,
-                        "time_s": timer.elapsed,
+                        "time_s": elapsed,
                         "evaluations": result.utility_evaluations,
                         "fairness_error": proxy,
                     }

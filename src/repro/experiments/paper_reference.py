@@ -1,6 +1,6 @@
 """The paper's reported numbers, kept as data for paper-vs-measured comparisons.
 
-Only the values needed for the qualitative "shape" checks in EXPERIMENTS.md
+Only the values needed for qualitative paper-vs-measured "shape" checks
 are recorded: the relative ℓ2 errors of Table IV (FEMNIST) and Table V
 (Adult), and the headline claims of the remaining experiments.  Times are not
 recorded because absolute wall-clock depends entirely on the authors' GPU

@@ -28,6 +28,7 @@ without a store; see ``docs/store.md``.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import time
@@ -52,6 +53,8 @@ from repro.core import (
     PermShapley,
     StoppingRule,
     ValuationAlgorithm,
+    ValuationResult,
+    ValuationSnapshot,
     rank_correlation,
     relative_error_l2,
 )
@@ -121,7 +124,7 @@ def build_task_algorithm(spec: TaskSpec, algorithm_name: str, n_clients: int):
 
 def load_estimator_checkpoint(
     path: str,
-    algorithm,
+    algorithm: ValuationAlgorithm,
     n_clients: int,
     say: Callable[[str], None],
 ) -> Optional[EstimatorState]:
@@ -130,8 +133,7 @@ def load_estimator_checkpoint(
     A checkpoint that fails to parse, carries no restorable RNG snapshot, or
     belongs to a different algorithm configuration (e.g. the budget changed
     between invocations) is ignored — the valuation simply restarts from
-    scratch rather than failing.  Shared by the pipeline's per-cell
-    checkpoints and the service's per-job checkpoints.
+    scratch rather than failing.
     """
     if not os.path.exists(path):
         return None
@@ -148,12 +150,101 @@ def load_estimator_checkpoint(
     except (ValueError, KeyError, TypeError, json.JSONDecodeError) as error:
         say(f"ignoring unreadable checkpoint {path}: {error}")
         return None
-    if not isinstance(algorithm, ValuationAlgorithm):
-        return None
     if not algorithm.state_matches(state, n_clients):
         say(f"ignoring stale checkpoint {path}: algorithm configuration changed")
         return None
     return state
+
+
+#: the machine-local execution fields ExperimentPlan and JobSpec share; none
+#: of them enters a fingerprint
+EXECUTION_FIELDS = (
+    "backend",
+    "n_workers",
+    "queue_dir",
+    "spawn_workers",
+    "worker_backend",
+    "lease_seconds",
+)
+
+
+def validate_execution(spec) -> None:
+    """Check the execution fields of an :class:`ExperimentPlan` or a JobSpec."""
+    if spec.n_workers < 1:
+        raise ValueError(f"n_workers must be >= 1, got {spec.n_workers}")
+    if spec.backend is not None and spec.backend not in EXECUTOR_BACKENDS:
+        raise ValueError(
+            f"unknown backend {spec.backend!r}; choose from {EXECUTOR_BACKENDS}"
+        )
+    if spec.backend == "fleet" and not spec.queue_dir:
+        raise ValueError(
+            "backend 'fleet' needs a queue directory (queue_dir= / "
+            "--queue-dir) shared with its workers"
+        )
+    if spec.spawn_workers < 0:
+        raise ValueError(f"spawn_workers must be >= 0, got {spec.spawn_workers}")
+    if spec.lease_seconds <= 0:
+        raise ValueError(f"lease_seconds must be > 0, got {spec.lease_seconds}")
+    if spec.worker_backend is not None:
+        from repro.fleet.coordinator import WORKER_BACKENDS
+
+        if spec.worker_backend not in WORKER_BACKENDS:
+            raise ValueError(
+                f"unknown worker backend {spec.worker_backend!r}; "
+                f"choose from {WORKER_BACKENDS}"
+            )
+
+
+def execution_from_dict(payload: dict) -> dict:
+    """The execution fields of a plan or job wire dict, defaults filled in."""
+    return {
+        "backend": payload.get("backend"),
+        "n_workers": int(payload.get("n_workers", 1)),
+        "queue_dir": payload.get("queue_dir"),
+        "spawn_workers": int(payload.get("spawn_workers", 0)),
+        "worker_backend": payload.get("worker_backend"),
+        "lease_seconds": float(payload.get("lease_seconds", 30.0)),
+    }
+
+
+def fleet_fields_to_dict(spec) -> dict:
+    """Wire form of the four fleet fields: only those off their default."""
+    payload: dict = {}
+    if spec.queue_dir is not None:
+        payload["queue_dir"] = spec.queue_dir
+    if spec.spawn_workers:
+        payload["spawn_workers"] = spec.spawn_workers
+    if spec.worker_backend is not None:
+        payload["worker_backend"] = spec.worker_backend
+    if spec.lease_seconds != 30.0:
+        payload["lease_seconds"] = spec.lease_seconds
+    return payload
+
+
+def configure_execution(
+    utility, spec, say: Callable[[str], None], telemetry: Optional[Telemetry] = None
+) -> None:
+    """Put a freshly built task oracle on the spec's executor and telemetry."""
+    if spec.backend == "fleet":
+        # The fleet backend is not name-constructible (it needs the queue
+        # directory), so build the instance here; the oracle's bind_store
+        # hook then ships the store identity to workers.
+        from repro.fleet.coordinator import FleetExecutor
+
+        utility.set_n_workers(
+            spec.n_workers,
+            FleetExecutor(
+                queue_dir=spec.queue_dir,
+                spawn_workers=spec.spawn_workers,
+                worker_backend=spec.worker_backend or "serial",
+                lease_seconds=spec.lease_seconds,
+                log=say,
+            ),
+        )
+    elif spec.n_workers > 1 or spec.backend is not None:
+        utility.set_n_workers(spec.n_workers, spec.backend)
+    if telemetry is not None:
+        utility.set_telemetry(telemetry)
 
 
 def _slug(name: str) -> str:
@@ -208,33 +299,7 @@ class ExperimentPlan:
             raise ValueError(
                 f"unknown algorithms {unknown}; choose from {available_algorithms()}"
             )
-        if self.n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
-        if self.backend is not None and self.backend not in EXECUTOR_BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; choose from {EXECUTOR_BACKENDS}"
-            )
-        if self.backend == "fleet" and not self.queue_dir:
-            raise ValueError(
-                "backend 'fleet' needs a queue directory (queue_dir= / "
-                "--queue-dir) shared with its workers"
-            )
-        if self.spawn_workers < 0:
-            raise ValueError(
-                f"spawn_workers must be >= 0, got {self.spawn_workers}"
-            )
-        if self.lease_seconds <= 0:
-            raise ValueError(
-                f"lease_seconds must be > 0, got {self.lease_seconds}"
-            )
-        if self.worker_backend is not None:
-            from repro.fleet.coordinator import WORKER_BACKENDS
-
-            if self.worker_backend not in WORKER_BACKENDS:
-                raise ValueError(
-                    f"unknown worker backend {self.worker_backend!r}; "
-                    f"choose from {WORKER_BACKENDS}"
-                )
+        validate_execution(self)
 
     def fingerprint(self) -> str:
         """Content address of the plan (tasks + algorithms, not concurrency).
@@ -272,29 +337,12 @@ class ExperimentPlan:
         }
         if self.backend is not None:
             payload["backend"] = self.backend
-        if self.queue_dir is not None:
-            payload["queue_dir"] = self.queue_dir
-        if self.spawn_workers:
-            payload["spawn_workers"] = self.spawn_workers
-        if self.worker_backend is not None:
-            payload["worker_backend"] = self.worker_backend
-        if self.lease_seconds != 30.0:
-            payload["lease_seconds"] = self.lease_seconds
+        payload.update(fleet_fields_to_dict(self))
         return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentPlan":
-        unknown = set(payload) - {
-            "name",
-            "tasks",
-            "algorithms",
-            "n_workers",
-            "backend",
-            "queue_dir",
-            "spawn_workers",
-            "worker_backend",
-            "lease_seconds",
-        }
+        unknown = set(payload) - {"name", "tasks", "algorithms", *EXECUTION_FIELDS}
         if unknown:
             # A typo in a plan file ("algorithm" for "algorithms") must fail
             # loudly, not silently run hours of the default campaign.
@@ -305,12 +353,7 @@ class ExperimentPlan:
             tasks=tuple(TaskSpec.from_dict(t) for t in payload["tasks"]),
             algorithms=tuple(payload.get("algorithms", DEFAULT_ALGORITHMS)),
             name=payload.get("name", "run"),
-            n_workers=int(payload.get("n_workers", 1)),
-            backend=payload.get("backend"),
-            queue_dir=payload.get("queue_dir"),
-            spawn_workers=int(payload.get("spawn_workers", 0)),
-            worker_backend=payload.get("worker_backend"),
-            lease_seconds=float(payload.get("lease_seconds", 30.0)),
+            **execution_from_dict(payload),
         )
 
 
@@ -363,8 +406,9 @@ class RunReport:
         }
 
 
-def _write_json(path: str, payload: dict) -> None:
-    """Atomic JSON write: a crash mid-dump must not corrupt the manifest."""
+def write_json(path: str, payload: dict) -> None:
+    """Atomic JSON write: a crash mid-dump must not corrupt the file."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp_path = path + ".tmp"
     with open(tmp_path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
@@ -414,9 +458,8 @@ def run_plan(
     the manifest's plan must fingerprint-match ``plan`` so a resumed campaign
     cannot silently compute different cells than it started.
 
-    Cells execute through the anytime protocol
-    (:meth:`~repro.core.ValuationAlgorithm.iter_run`): every
-    ``checkpoint_every`` chunks (0 disables) the estimator state is persisted
+    Cells execute through :func:`drive_valuation`, the anytime driver the
+    valuation service shares: every ``checkpoint_every`` chunks (0 disables) the estimator state is persisted
     under ``checkpoints/``, so an interrupted campaign resumes *inside* the
     interrupted cell — only the in-flight chunk is replayed, and with the
     store attached that replay trains nothing.  ``stop_rule`` (reset per
@@ -443,7 +486,7 @@ def run_plan(
     manifest = load_manifest(run_dir)
     if manifest is None:
         manifest = _fresh_manifest(plan)
-        _write_json(os.path.join(run_dir, MANIFEST_NAME), manifest)
+        write_json(os.path.join(run_dir, MANIFEST_NAME), manifest)
     elif not resume:
         raise ValueError(
             f"run directory {run_dir!r} already contains a manifest; "
@@ -488,8 +531,8 @@ def run_plan(
                 )
     finally:
         manifest["updated_at"] = time.time()  # repro: allow[RPR002] reason=manifest telemetry
-        _write_json(os.path.join(run_dir, MANIFEST_NAME), manifest)
-        _write_json(os.path.join(run_dir, "summary.json"), report.to_dict())
+        write_json(os.path.join(run_dir, MANIFEST_NAME), manifest)
+        write_json(os.path.join(run_dir, "summary.json"), report.to_dict())
         if telemetry is not None:
             telemetry.flush()
             if opened_store is not None:
@@ -532,87 +575,102 @@ def resume_run(
 
 
 # --------------------------------------------------------------------------- #
-# Cell execution
+# The anytime driver
 # --------------------------------------------------------------------------- #
-def _checkpoint_path(run_dir: str, cell: str) -> str:
-    return os.path.join(run_dir, CHECKPOINTS_DIR, f"{cell}.state.json")
+def checkpoint_path(root: str, key: str) -> str:
+    """Estimator checkpoint of one cell or job under a run or state directory."""
+    return os.path.join(root, CHECKPOINTS_DIR, f"{key}.state.json")
 
 
-def _load_checkpoint(
-    run_dir: str, cell: str, algorithm, n_clients: int, say: Callable[[str], None]
-) -> Optional[EstimatorState]:
-    """Restore a cell's mid-valuation checkpoint, if one matches."""
-    return load_estimator_checkpoint(
-        _checkpoint_path(run_dir, cell), algorithm, n_clients, say
-    )
-
-
-def _drop_checkpoint(run_dir: str, cell: str) -> None:
-    path = _checkpoint_path(run_dir, cell)
+def drop_checkpoint(root: str, key: str) -> None:
+    path = checkpoint_path(root, key)
     if os.path.exists(path):
         os.remove(path)
 
 
-def _execute_cell(
-    algorithm,
-    utility,
-    spec: TaskSpec,
-    algorithm_name: str,
-    run_dir: str,
-    cell: str,
-    report: RunReport,
-    say: Callable[[str], None],
-    stop_rule: Optional[StoppingRule],
-    checkpoint_every: int,
-    on_snapshot,
-):
-    """Run one cell through the anytime protocol, checkpointing as it goes.
+def save_checkpoint(path: str, snapshot: ValuationSnapshot) -> bool:
+    """Persist a snapshot's estimator state; ``False`` if it cannot resume."""
+    if snapshot.state is None or snapshot.done:
+        return False
+    write_json(path, snapshot.state.to_dict())
+    return True
 
-    The stop-rule loop itself lives in :meth:`ValuationAlgorithm.run` — the
-    single driver of the snapshot stream; this function only contributes the
-    per-chunk observer (checkpoint write + external callback).  Gradient
-    algorithms stream through their single-chunk ``iter_run`` adapter, so
-    ``on_snapshot`` observes every cell either way.
+
+class ValuationInterrupted(Exception):
+    """Raised by a snapshot observer to stop :func:`drive_valuation`.
+
+    The driver stamps ``fl_trainings`` — what the interrupted invocation had
+    paid — on the exception before re-raising it.
     """
 
-    def observe(snapshot) -> None:
-        # Persist the state before handing control to the observer, so an
-        # interrupt raised from the callback still finds this chunk on disk.
-        if (
-            snapshot.state is not None
-            and not snapshot.done
-            and checkpoint_every
-            and snapshot.chunk_index % checkpoint_every == 0
-        ):
-            os.makedirs(os.path.join(run_dir, CHECKPOINTS_DIR), exist_ok=True)
-            _write_json(_checkpoint_path(run_dir, cell), snapshot.state.to_dict())
-        if on_snapshot is not None:
-            on_snapshot(spec, algorithm_name, snapshot)
+    fl_trainings = 0
 
-    if not isinstance(algorithm, ValuationAlgorithm):
-        last = None
-        for last in algorithm.iter_run(utility, utility.n_clients):
-            observe(last)
-        return last.result()
 
-    state = _load_checkpoint(run_dir, cell, algorithm, utility.n_clients, say)
+@dataclass
+class DrivenValuation:
+    """Outcome of one :func:`drive_valuation` call."""
+
+    result: ValuationResult
+    fl_trainings: int
+    continued: bool
+
+
+def drive_valuation(
+    algorithm: ValuationAlgorithm,
+    utility,
+    checkpoint: str,
+    label: str,
+    say: Callable[[str], None],
+    stop_rule: Optional[StoppingRule] = None,
+    checkpoint_every: int = 1,
+    on_snapshot: Optional[Callable[[ValuationSnapshot], None]] = None,
+) -> DrivenValuation:
+    """Run (or continue) one checkpointed anytime valuation.
+
+    The one driver behind ``repro run`` cells and service jobs.  A matching
+    estimator state in ``checkpoint`` is resumed (see
+    :func:`load_estimator_checkpoint`); every ``checkpoint_every`` chunks (0
+    disables) the state is saved *before* ``on_snapshot`` sees the chunk, so
+    an interrupt raised from the observer still finds the chunk on disk; the
+    stop-rule loop itself is :meth:`ValuationAlgorithm.run`.
+
+    ``fl_trainings`` counts what this invocation paid, one way for every
+    algorithm: the evaluations of the last snapshot minus those the resumed
+    checkpoint had already spent.  A gradient-based algorithm's snapshot
+    includes its grand-coalition training, which the oracle never sees.
+    """
+    state = load_estimator_checkpoint(checkpoint, algorithm, utility.n_clients, say)
+    spent_before = 0 if state is None else state.evaluations
     if state is not None:
-        report.cells_continued += 1
         say(
-            f"continuing {spec.label()} × {algorithm_name} from checkpoint "
-            f"(chunk {state.chunk_index}, {state.evaluations} evaluations spent)"
+            f"continuing {label} from checkpoint (chunk {state.chunk_index}, "
+            f"{state.evaluations} evaluations spent)"
         )
-    result = algorithm.run(
-        utility,
-        utility.n_clients,
-        stopping_rule=stop_rule,
-        state=state,
-        on_snapshot=observe,
-    )
+    spent = spent_before
+
+    def observe(snapshot: ValuationSnapshot) -> None:
+        nonlocal spent
+        spent = snapshot.evaluations
+        if checkpoint_every and snapshot.chunk_index % checkpoint_every == 0:
+            save_checkpoint(checkpoint, snapshot)
+        if on_snapshot is not None:
+            on_snapshot(snapshot)
+
+    try:
+        result = algorithm.run(
+            utility,
+            utility.n_clients,
+            stopping_rule=stop_rule,
+            state=state,
+            on_snapshot=observe,
+        )
+    except ValuationInterrupted as interrupt:
+        interrupt.fl_trainings = spent - spent_before
+        raise
     stopped_by = result.metadata.get("stopped_by")
     if stopped_by:
-        say(f"early stop for {spec.label()} × {algorithm_name}: {stopped_by}")
-    return result
+        say(f"early stop for {label}: {stopped_by}")
+    return DrivenValuation(result, spent - spent_before, state is not None)
 
 
 def _snapshot_interval_observer(telemetry: Telemetry, on_snapshot):
@@ -624,7 +682,7 @@ def _snapshot_interval_observer(telemetry: Telemetry, on_snapshot):
     """
     last: List[float] = []
 
-    def observe(spec, algorithm_name, snapshot) -> None:
+    def observe(snapshot) -> None:
         now = time.perf_counter()
         if last:
             telemetry.observe("snapshot.interval_seconds", now - last[0])
@@ -632,7 +690,7 @@ def _snapshot_interval_observer(telemetry: Telemetry, on_snapshot):
         else:
             last.append(now)
         if on_snapshot is not None:
-            on_snapshot(spec, algorithm_name, snapshot)
+            on_snapshot(snapshot)
 
     return observe
 
@@ -665,26 +723,7 @@ def _run_task_cells(
     try:
         if pending:
             utility = spec.build(store)
-            if plan.backend == "fleet":
-                # The fleet backend is not name-constructible (it needs the
-                # queue directory), so build the instance here; the oracle's
-                # bind_store hook then ships the store identity to workers.
-                from repro.fleet.coordinator import FleetExecutor
-
-                utility.set_n_workers(
-                    plan.n_workers,
-                    FleetExecutor(
-                        queue_dir=plan.queue_dir,
-                        spawn_workers=plan.spawn_workers,
-                        worker_backend=plan.worker_backend or "serial",
-                        lease_seconds=plan.lease_seconds,
-                        log=say,
-                    ),
-                )
-            elif plan.n_workers > 1 or plan.backend is not None:
-                utility.set_n_workers(plan.n_workers, plan.backend)
-            if telemetry is not None:
-                utility.set_telemetry(telemetry)
+            configure_execution(utility, plan, say, telemetry)
         for algorithm_name in plan.algorithms:
             this_cell = cell_ids[algorithm_name]
             recorded = manifest["cells"].get(this_cell)
@@ -704,13 +743,17 @@ def _run_task_cells(
             utility.reset_cache()
             store_hits_before = utility.store_hits
             cache_hits_before = utility.cache_hits
-            trainings_before = utility.evaluations
-            say(f"running {spec.label()} × {algorithm_name}")
-            cell_observer = on_snapshot
+            label = f"{spec.label()} × {algorithm_name}"
+            say(f"running {label}")
+            cell_observer = (
+                None
+                if on_snapshot is None
+                else functools.partial(on_snapshot, spec, algorithm_name)
+            )
             telemetry_before: Optional[dict] = None
             if telemetry is not None:
                 telemetry_before = telemetry.snapshot()
-                cell_observer = _snapshot_interval_observer(telemetry, on_snapshot)
+                cell_observer = _snapshot_interval_observer(telemetry, cell_observer)
             cell_span = (
                 telemetry.span(
                     "pipeline.cell",
@@ -723,14 +766,11 @@ def _run_task_cells(
             )
             try:
                 with cell_span:
-                    result = _execute_cell(
+                    driven = drive_valuation(
                         algorithm,
                         utility,
-                        spec,
-                        algorithm_name,
-                        run_dir,
-                        this_cell,
-                        report,
+                        checkpoint_path(run_dir, this_cell),
+                        label,
                         say,
                         stop_rule,
                         checkpoint_every,
@@ -746,8 +786,8 @@ def _run_task_cells(
                     "error_type": type(error).__name__,
                 }
                 manifest["cells"][this_cell] = cell
-                _write_json(os.path.join(run_dir, MANIFEST_NAME), manifest)
-                _drop_checkpoint(run_dir, this_cell)
+                write_json(os.path.join(run_dir, MANIFEST_NAME), manifest)
+                drop_checkpoint(run_dir, this_cell)
                 report.cells_skipped += 1
                 report.rows.append(_skip_row(spec, algorithm_name, cell))
                 continue
@@ -755,12 +795,12 @@ def _run_task_cells(
                 "algorithm": algorithm_name,
                 "task": spec.label(),
                 "task_fingerprint": task_fp,
-                "result": result.to_dict(),
+                "result": driven.result.to_dict(),
                 "store_hits": utility.store_hits - store_hits_before,
                 "completed_at": time.time(),  # repro: allow[RPR002] reason=cell telemetry
             }
             result_file = os.path.join(RESULTS_DIR, f"{this_cell}.json")
-            _write_json(os.path.join(run_dir, result_file), payload)
+            write_json(os.path.join(run_dir, result_file), payload)
             cell_record = {
                 "status": "done",
                 "algorithm": algorithm_name,
@@ -775,22 +815,14 @@ def _run_task_cells(
                 cell_record["telemetry"] = telemetry.delta_since(telemetry_before)
             manifest["cells"][this_cell] = cell_record
             manifest["updated_at"] = time.time()  # repro: allow[RPR002] reason=manifest telemetry
-            _write_json(os.path.join(run_dir, MANIFEST_NAME), manifest)
+            write_json(os.path.join(run_dir, MANIFEST_NAME), manifest)
             if telemetry is not None:
                 telemetry.flush()
             # The cell is durably recorded; its mid-run checkpoint is obsolete.
-            _drop_checkpoint(run_dir, this_cell)
+            drop_checkpoint(run_dir, this_cell)
             report.cells_run += 1
-            # `fl_trainings` must count only what THIS invocation paid.  For
-            # a cell resumed from a mid-run checkpoint the result's
-            # `utility_evaluations` is cumulative across invocations, so read
-            # the oracle's own training counter instead.  Gradient-based
-            # cells train their grand coalition outside the oracle; keep the
-            # result's accounting (one FL training) for them.
-            if isinstance(algorithm, ValuationAlgorithm):
-                report.fl_trainings += int(utility.evaluations - trainings_before)
-            else:
-                report.fl_trainings += int(result.utility_evaluations)
+            report.cells_continued += int(driven.continued)
+            report.fl_trainings += driven.fl_trainings
             report.store_hits += int(payload["store_hits"])
             report.cache_hits += int(utility.cache_hits - cache_hits_before)
             results[algorithm_name] = payload

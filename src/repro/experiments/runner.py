@@ -28,7 +28,7 @@ from repro.core import (
     rank_correlation,
     relative_error_l2,
 )
-from repro.core.base import GradientBasedValuation, SupportsBatchEvaluation
+from repro.core.base import SupportsBatchEvaluation
 from repro.core.result import ValuationResult
 from repro.experiments.config import sampling_rounds_for
 from repro.utils.rng import SeedLike

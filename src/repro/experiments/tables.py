@@ -10,7 +10,8 @@ trained coalition so regenerating the *same* table later retrains nothing
 nothing — and timings/evaluation counts then reflect incremental cost, not
 the paper's per-algorithm accounting; see ``docs/store.md``).  The functions
 return a structured report (list of dict rows) and can render it as text;
-EXPERIMENTS.md records the outputs next to the paper's numbers.
+:mod:`repro.experiments.paper_reference` holds the paper's numbers to compare
+them with.
 """
 
 from __future__ import annotations

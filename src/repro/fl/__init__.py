@@ -11,7 +11,7 @@ valuation algorithms, however, only interact with FL through two interfaces:
    baselines OR, λ-MR, GTG-Shapley and DIG-FL consume).
 
 This package provides both on top of an in-process NumPy FedAvg/FedProx
-simulator.  See DESIGN.md section 2 for the substitution rationale.
+simulator.
 """
 
 from repro.fl.client import FLClient

@@ -5,8 +5,8 @@ against a single callable interface: ``utility(coalition) -> float``.  The
 classes here implement that interface on top of the FL simulator, add
 memoisation (training the same coalition twice would be wasted work) and keep
 a count of how many FL trainings were actually performed — the
-hardware-independent cost model used in EXPERIMENTS.md alongside wall-clock
-times.
+hardware-independent cost model the experiment reports give alongside
+wall-clock times.
 
 Both oracles also speak the *batch-oracle protocol*
 (``evaluate_batch(coalitions) -> {coalition: utility}``): algorithms hand over

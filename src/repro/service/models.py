@@ -29,9 +29,14 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.core import parse_stopping_rule
-from repro.experiments.pipeline import available_algorithms
+from repro.experiments.pipeline import (
+    EXECUTION_FIELDS,
+    available_algorithms,
+    execution_from_dict,
+    fleet_fields_to_dict,
+    validate_execution,
+)
 from repro.experiments.specs import TaskSpec
-from repro.parallel.executors import EXECUTOR_BACKENDS
 from repro.store import fingerprint
 
 #: terminal statuses: the job will never run again
@@ -87,8 +92,8 @@ class JobSpec:
         :data:`~repro.parallel.executors.EXECUTOR_BACKENDS` name, including
         ``"fleet"``) and its concurrency level.
     queue_dir / spawn_workers / worker_backend / lease_seconds:
-        Fleet-backend execution coordinates, same semantics as
-        :class:`~repro.experiments.pipeline.ExperimentPlan`.
+        Fleet-backend execution coordinates, same semantics (and the same
+        validator) as :class:`~repro.experiments.pipeline.ExperimentPlan`.
     """
 
     task: Dict[str, Any]
@@ -126,21 +131,7 @@ class JobSpec:
             raise ValueError(
                 f"checkpoint_every must be >= 0, got {self.checkpoint_every}"
             )
-        if self.backend is not None and self.backend not in EXECUTOR_BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; choose from {EXECUTOR_BACKENDS}"
-            )
-        if self.backend == "fleet" and not self.queue_dir:
-            raise ValueError(
-                "backend 'fleet' needs a queue directory (queue_dir=) shared "
-                "with its workers"
-            )
-        if self.n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
-        if self.spawn_workers < 0:
-            raise ValueError(f"spawn_workers must be >= 0, got {self.spawn_workers}")
-        if self.lease_seconds <= 0:
-            raise ValueError(f"lease_seconds must be > 0, got {self.lease_seconds}")
+        validate_execution(self)
 
     # ------------------------------------------------------------------ #
     # Derived identities
@@ -176,14 +167,7 @@ class JobSpec:
             payload["backend"] = self.backend
         if self.n_workers != 1:
             payload["n_workers"] = self.n_workers
-        if self.queue_dir is not None:
-            payload["queue_dir"] = self.queue_dir
-        if self.spawn_workers:
-            payload["spawn_workers"] = self.spawn_workers
-        if self.worker_backend is not None:
-            payload["worker_backend"] = self.worker_backend
-        if self.lease_seconds != 30.0:
-            payload["lease_seconds"] = self.lease_seconds
+        payload.update(fleet_fields_to_dict(self))
         return payload
 
     @classmethod
@@ -197,12 +181,7 @@ class JobSpec:
             "priority",
             "stop_on",
             "checkpoint_every",
-            "backend",
-            "n_workers",
-            "queue_dir",
-            "spawn_workers",
-            "worker_backend",
-            "lease_seconds",
+            *EXECUTION_FIELDS,
         }
         unknown = set(payload) - allowed
         if unknown:
@@ -219,12 +198,7 @@ class JobSpec:
             priority=int(payload.get("priority", 0)),
             stop_on=payload.get("stop_on"),
             checkpoint_every=int(payload.get("checkpoint_every", 1)),
-            backend=payload.get("backend"),
-            n_workers=int(payload.get("n_workers", 1)),
-            queue_dir=payload.get("queue_dir"),
-            spawn_workers=int(payload.get("spawn_workers", 0)),
-            worker_backend=payload.get("worker_backend"),
-            lease_seconds=float(payload.get("lease_seconds", 30.0)),
+            **execution_from_dict(payload),
         )
 
 

@@ -1,52 +1,61 @@
-"""Execute one service job — the job → plan-cell adaptation layer.
+"""Execute one service job through the pipeline's anytime driver.
 
 A job runs *exactly* the computation a ``repro run`` cell with the same task
 and algorithm would: the estimator comes from
 :func:`repro.experiments.pipeline.build_task_algorithm` (same γ, same seed,
-same builder registry), checkpoints round-trip through
-:func:`repro.experiments.pipeline.load_estimator_checkpoint`, and the chunk
-observer persists the estimator state *before* doing anything that can raise
-— the same ordering the pipeline uses, and the property that makes graceful
-preemption free: raising :class:`JobPreempted` from the observer always
-leaves the just-completed chunk on disk, so the resumed attempt continues
-bitwise-identically.
+same builder registry), the executor from
+:func:`~repro.experiments.pipeline.configure_execution`, and the run itself
+from :func:`~repro.experiments.pipeline.drive_valuation` — the one driver
+that resumes checkpoints, saves each cadence checkpoint before any observer
+runs, and counts the trainings an invocation paid.
 
-What the service adds around that core:
+What the service adds around that driver:
 
 * the job's utility store is wrapped in a
-  :class:`~repro.service.ledger.RecordingStore`, so every actual FL training
-  lands in the trainings ledger under this job's id;
+  :class:`~repro.service.ledger.RecordingStore`, so every training written
+  to the store lands in the trainings ledger under this job's id;
 * the store is re-attached under the job's *tenant* namespace (see
   :func:`~repro.service.models.tenant_namespace`) — the default tenant keeps
   store-key parity with direct CLI runs;
 * control flags (cancel / preempt) are polled at every chunk boundary, the
-  only place the anytime protocol can stop cleanly.
+  only place the anytime protocol can stop cleanly.  Preemption saves the
+  current chunk with the driver's checkpoint writer before it raises, so
+  the resumed attempt continues bitwise-identically;
+* stream events and the result file.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-from repro.core import ValuationAlgorithm, parse_stopping_rule
-from repro.experiments.pipeline import build_task_algorithm, load_estimator_checkpoint
+from repro.core import parse_stopping_rule
+from repro.experiments.pipeline import (
+    CHECKPOINTS_DIR,
+    ValuationInterrupted,
+    build_task_algorithm,
+    checkpoint_path,
+    configure_execution,
+    drive_valuation,
+    drop_checkpoint,
+    save_checkpoint,
+    write_json,
+)
 from repro.service.ledger import RecordingStore
 from repro.service.models import JobRecord
 from repro.store.base import UtilityStore
 
-CHECKPOINTS_DIR = "checkpoints"
 RESULTS_DIR = "results"
 
 
-class JobPreempted(Exception):
+class JobPreempted(ValuationInterrupted):
     """Raised from the chunk observer to yield the worker to a higher-priority
     job; the chunk's checkpoint is already on disk when this propagates."""
 
 
-class JobCancelled(Exception):
+class JobCancelled(ValuationInterrupted):
     """Raised from the chunk observer when the client cancelled the job."""
 
 
@@ -62,26 +71,8 @@ class JobOutcome:
     chunks: int = 0
 
 
-def checkpoint_path(state_dir: str, job_id: str) -> str:
-    return os.path.join(state_dir, CHECKPOINTS_DIR, f"{job_id}.state.json")
-
-
 def result_path(state_dir: str, job_id: str) -> str:
     return os.path.join(state_dir, RESULTS_DIR, f"{job_id}.json")
-
-
-def drop_checkpoint(state_dir: str, job_id: str) -> None:
-    path = checkpoint_path(state_dir, job_id)
-    if os.path.exists(path):
-        os.remove(path)
-
-
-def _write_json(path: str, payload: dict) -> None:
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
-    os.replace(tmp, path)
 
 
 def run_job(
@@ -110,121 +101,67 @@ def run_job(
 
     recording = RecordingStore(store, record_training, job_id)
     utility = task_spec.build(recording)
+
+    def outcome(status: str, fl_trainings: int, result=None) -> JobOutcome:
+        return JobOutcome(
+            status=status,
+            result=result,
+            fl_trainings=fl_trainings,
+            store_hits=utility.store_hits,
+            first_snapshot_seconds=progress["first_snapshot"],
+            chunks=progress["chunks"],
+        )
+
+    def observe(snapshot) -> None:
+        if progress["first_snapshot"] is None:
+            progress["first_snapshot"] = time.perf_counter() - started
+        progress["chunks"] += 1
+        emit(
+            {
+                "event": "snapshot",
+                "job_id": job_id,
+                "task": task_spec.label(),
+                **snapshot.to_dict(),
+            }
+        )
+        cancel, preempt = control()
+        if cancel:
+            raise JobCancelled(job_id)
+        # Yield the worker only if THIS chunk (possibly off the checkpoint
+        # cadence) is on disk to resume from.
+        if preempt and spec.checkpoint_every and save_checkpoint(ckpt, snapshot):
+            raise JobPreempted(job_id)
+
     try:
         # Re-namespace under the tenant (a no-op for the default tenant,
         # whose namespace IS the task fingerprint).
         utility.attach_store(recording, record.namespace)
-        if spec.backend == "fleet":
-            from repro.fleet.coordinator import FleetExecutor
-
-            utility.set_n_workers(
-                spec.n_workers,
-                FleetExecutor(
-                    queue_dir=spec.queue_dir,
-                    spawn_workers=spec.spawn_workers,
-                    worker_backend=spec.worker_backend or "serial",
-                    lease_seconds=spec.lease_seconds,
-                    log=say,
-                ),
-            )
-        elif spec.n_workers > 1 or spec.backend is not None:
-            utility.set_n_workers(spec.n_workers, spec.backend)
-        if telemetry is not None:
-            utility.set_telemetry(telemetry)
-
+        configure_execution(utility, spec, say, telemetry)
         algorithm = build_task_algorithm(task_spec, spec.algorithm, utility.n_clients)
-        stop_rule = (
-            parse_stopping_rule(spec.stop_on) if spec.stop_on is not None else None
-        )
-
-        def observe(snapshot) -> None:
-            # Checkpoint BEFORE emitting or raising, so whatever interrupts
-            # this chunk still finds it on disk (the pipeline's ordering).
-            resumable = snapshot.state is not None and not snapshot.done
-            if (
-                resumable
-                and spec.checkpoint_every
-                and snapshot.chunk_index % spec.checkpoint_every == 0
-            ):
-                _write_json(ckpt, snapshot.state.to_dict())
-            if progress["first_snapshot"] is None:
-                progress["first_snapshot"] = time.perf_counter() - started
-            progress["chunks"] += 1
-            emit(
-                {
-                    "event": "snapshot",
-                    "job_id": job_id,
-                    "task": task_spec.label(),
-                    **snapshot.to_dict(),
-                }
-            )
-            cancel, preempt = control()
-            if cancel:
-                raise JobCancelled(job_id)
-            if preempt and resumable and spec.checkpoint_every:
-                # The scheduler asked us to yield: persist THIS chunk (it may
-                # be off the checkpoint cadence) and hand the worker back.
-                _write_json(ckpt, snapshot.state.to_dict())
-                raise JobPreempted(job_id)
-
         try:
-            if not isinstance(algorithm, ValuationAlgorithm):
-                # Single-chunk adapters (the gradient baselines) cannot be
-                # checkpointed mid-run; they stream through iter_run.
-                last = None
-                for last in algorithm.iter_run(utility, utility.n_clients):
-                    observe(last)
-                result = last.result()
-            else:
-                state = load_estimator_checkpoint(
-                    ckpt, algorithm, utility.n_clients, say
-                )
-                if state is not None:
-                    say(
-                        f"{job_id}: continuing from checkpoint "
-                        f"(chunk {state.chunk_index}, "
-                        f"{state.evaluations} evaluations spent)"
-                    )
-                result = algorithm.run(
-                    utility,
-                    utility.n_clients,
-                    stopping_rule=stop_rule,
-                    state=state,
-                    on_snapshot=observe,
-                )
-        except JobPreempted:
+            driven = drive_valuation(
+                algorithm,
+                utility,
+                ckpt,
+                job_id,
+                say,
+                parse_stopping_rule(spec.stop_on) if spec.stop_on is not None else None,
+                spec.checkpoint_every,
+                observe,
+            )
+        except (JobPreempted, JobCancelled) as interrupt:
+            status = "preempted" if isinstance(interrupt, JobPreempted) else "cancelled"
+            if status == "cancelled":
+                drop_checkpoint(state_dir, job_id)
             emit(
                 {
-                    "event": "preempted",
+                    "event": status,
                     "job_id": job_id,
                     "task": task_spec.label(),
                     "algorithm": spec.algorithm,
                 }
             )
-            return JobOutcome(
-                status="preempted",
-                fl_trainings=utility.evaluations,
-                store_hits=utility.store_hits,
-                first_snapshot_seconds=progress["first_snapshot"],
-                chunks=progress["chunks"],
-            )
-        except JobCancelled:
-            drop_checkpoint(state_dir, job_id)
-            emit(
-                {
-                    "event": "cancelled",
-                    "job_id": job_id,
-                    "task": task_spec.label(),
-                    "algorithm": spec.algorithm,
-                }
-            )
-            return JobOutcome(
-                status="cancelled",
-                fl_trainings=utility.evaluations,
-                store_hits=utility.store_hits,
-                first_snapshot_seconds=progress["first_snapshot"],
-                chunks=progress["chunks"],
-            )
+            return outcome(status, interrupt.fl_trainings)
 
         payload = {
             "job_id": job_id,
@@ -233,21 +170,14 @@ def run_job(
             "task_fingerprint": record.task_fingerprint,
             "tenant": spec.tenant,
             "namespace": record.namespace,
-            "result": result.to_dict(),
+            "result": driven.result.to_dict(),
             "store_hits": utility.store_hits,
-            "fl_trainings": utility.evaluations,
+            "fl_trainings": driven.fl_trainings,
         }
-        _write_json(result_path(state_dir, job_id), payload)
+        write_json(result_path(state_dir, job_id), payload)
         drop_checkpoint(state_dir, job_id)
         emit({"event": "result", "status": "done", **payload})
-        return JobOutcome(
-            status="done",
-            result=payload,
-            fl_trainings=utility.evaluations,
-            store_hits=utility.store_hits,
-            first_snapshot_seconds=progress["first_snapshot"],
-            chunks=progress["chunks"],
-        )
+        return outcome("done", driven.fl_trainings, payload)
     finally:
         utility.close()
 

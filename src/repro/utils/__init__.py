@@ -1,4 +1,4 @@
-"""Shared utilities: coalition combinatorics, caching, RNG control and timing.
+"""Shared utilities: coalition combinatorics, caching, and RNG control.
 
 These helpers are intentionally free of any federated-learning or valuation
 logic so that every other subpackage (``repro.core``, ``repro.fl``,
@@ -20,7 +20,6 @@ from repro.utils.combinatorics import (
 )
 from repro.utils.cache import UtilityCache
 from repro.utils.rng import RandomState, spawn_rng
-from repro.utils.timer import Timer
 from repro.utils.validation import (
     check_client_count,
     check_fraction,
@@ -42,7 +41,6 @@ __all__ = [
     "UtilityCache",
     "RandomState",
     "spawn_rng",
-    "Timer",
     "check_client_count",
     "check_fraction",
     "check_positive",

@@ -1,4 +1,4 @@
-"""Tests for the paper-reference data used in EXPERIMENTS.md comparisons."""
+"""Tests for the paper-reference data used in paper-vs-measured comparisons."""
 
 from repro.experiments.paper_reference import (
     PAPER_CLAIMS,

@@ -68,6 +68,18 @@ class TestJobEndpoints:
         with pytest.raises(ServiceError) as excinfo:
             client.submit({"task": make_task(), "algorithm": "IPSS", "algoritm": "x"})
         assert excinfo.value.status == 400
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(
+                {
+                    "task": make_task(),
+                    "algorithm": "IPSS",
+                    "backend": "fleet",
+                    "queue_dir": "queue",
+                    "worker_backend": "bogus",
+                }
+            )
+        assert excinfo.value.status == 400
+        assert "unknown worker backend" in str(excinfo.value)
 
     def test_unknown_job_is_a_404_everywhere(self, service_client):
         _service, client = service_client

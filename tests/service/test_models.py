@@ -48,6 +48,17 @@ class TestJobSpecValidation:
         with pytest.raises(ValueError, match="unknown backend"):
             make_spec(backend="gpu-cluster")
 
+    def test_unknown_worker_backend_rejected(self, tmp_path):
+        # Same validator as ExperimentPlan: the bad value is a submit-time
+        # error, not a failure inside a scheduler thread later.
+        with pytest.raises(ValueError, match="unknown worker backend"):
+            make_spec(
+                algorithm="IPSS",
+                backend="fleet",
+                queue_dir=str(tmp_path / "queue"),
+                worker_backend="bogus",
+            )
+
     def test_fleet_backend_requires_queue_dir(self):
         with pytest.raises(ValueError, match="queue"):
             make_spec(backend="fleet")

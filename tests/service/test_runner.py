@@ -10,6 +10,7 @@ import os
 
 import pytest
 
+from repro.experiments.pipeline import ExperimentPlan, run_plan
 from repro.service.jobs import JobStore
 from repro.service.models import JobRecord
 from repro.service.runner import checkpoint_path, result_path, run_job
@@ -109,6 +110,26 @@ class TestUninterruptedRun:
         )
         assert len(ledger.rows) == outcome.fl_trainings > 0
         assert ledger.duplicates() == 0
+
+
+class TestTrainingsAccounting:
+    def test_gradient_job_counts_its_training_like_run_plan(self, tmp_path, store):
+        # OR trains the grand coalition outside the oracle (and the store):
+        # both drivers count that one training, and the ledger records none.
+        spec = make_spec(algorithm="OR")
+        ledger = Ledger()
+        outcome = execute(
+            make_record(spec), store, str(tmp_path), ledger, ControlScript(), []
+        )
+        plan = ExperimentPlan(tasks=(spec.task_spec(),), algorithms=("OR",))
+        report = run_plan(plan, str(tmp_path / "run"))
+        assert outcome.status == "done"
+        assert outcome.fl_trainings == report.fl_trainings == 1
+        assert outcome.result["result"]["utility_evaluations"] == 1
+        assert ledger.rows == []
+        assert outcome.result["result"]["values"] == direct_values(
+            spec.task, spec.algorithm
+        )
 
 
 class TestPreemption:

@@ -1,12 +1,9 @@
-"""Tests for RNG handling, the stopwatch and argument validation."""
-
-import time
+"""Tests for RNG handling and argument validation."""
 
 import numpy as np
 import pytest
 
 from repro.utils.rng import RandomState, derive_seed, fixed_rng, spawn_rng
-from repro.utils.timer import Timer
 from repro.utils.validation import (
     check_client_count,
     check_fraction,
@@ -48,49 +45,6 @@ class TestRandomState:
 
     def test_fixed_rng_defaults_to_zero(self):
         assert fixed_rng(None).random() == fixed_rng(0).random()
-
-
-class TestTimer:
-    def test_context_manager_measures_time(self):
-        with Timer() as timer:
-            time.sleep(0.01)
-        assert timer.elapsed >= 0.005
-
-    def test_stop_before_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Timer().stop()
-
-    def test_elapsed_while_running(self):
-        timer = Timer()
-        timer.start()
-        assert timer.running
-        assert timer.elapsed >= 0.0
-        timer.stop()
-        assert not timer.running
-
-    def test_lap_records_labels(self):
-        timer = Timer()
-        timer.start()
-        timer.lap("first")
-        timer.stop()
-        assert timer.laps[0][0] == "first"
-
-    def test_reset(self):
-        timer = Timer()
-        timer.start()
-        timer.stop()
-        timer.reset()
-        assert timer.elapsed == 0.0
-        assert timer.laps == []
-
-    def test_accumulates_across_start_stop(self):
-        timer = Timer()
-        timer.start()
-        timer.stop()
-        first = timer.elapsed
-        timer.start()
-        timer.stop()
-        assert timer.elapsed >= first
 
 
 class TestValidation:
