@@ -1,0 +1,200 @@
+"""The one anytime driver and the shared execution-field helpers.
+
+``drive_valuation`` runs both ``repro run`` cells and service jobs, and
+``validate_execution`` / ``execution_from_dict`` / ``fleet_fields_to_dict`` /
+``configure_execution`` serve both ``ExperimentPlan`` and ``JobSpec``; these
+tests pin their contracts directly, independent of either caller.
+"""
+
+import json
+import os
+from types import SimpleNamespace
+
+import pytest
+
+from helpers import monotone_game
+from repro.core import IPSS
+from repro.experiments.pipeline import (
+    ValuationInterrupted,
+    configure_execution,
+    drive_valuation,
+    execution_from_dict,
+    fleet_fields_to_dict,
+    validate_execution,
+)
+
+N = 6
+GAMMA = 24
+
+
+class _Stop(ValuationInterrupted):
+    pass
+
+
+def _stop_after(count):
+    seen = []
+
+    def observe(snapshot):
+        seen.append(snapshot)
+        if len(seen) >= count:
+            raise _Stop
+
+    return observe, seen
+
+
+def _drive(tmp_path, algorithm=None, messages=None, **kwargs):
+    return drive_valuation(
+        algorithm or IPSS(total_rounds=GAMMA, seed=1),
+        monotone_game(N, seed=2),
+        str(tmp_path / "cell.state.json"),
+        "IPSS",
+        (messages if messages is not None else []).append,
+        **kwargs,
+    )
+
+
+class TestDriveValuation:
+    def test_matches_plain_run_and_counts_trainings(self, tmp_path):
+        reference = IPSS(total_rounds=GAMMA, seed=1).run(monotone_game(N, seed=2), N)
+        driven = _drive(tmp_path)
+        assert not driven.continued
+        assert driven.result.values.tolist() == reference.values.tolist()
+        assert driven.fl_trainings == reference.utility_evaluations > 0
+
+    def test_checkpoint_is_saved_before_the_observer_interrupts(self, tmp_path):
+        observe, seen = _stop_after(2)
+        with pytest.raises(_Stop) as raised:
+            _drive(tmp_path, on_snapshot=observe)
+        with open(tmp_path / "cell.state.json", "r", encoding="utf-8") as handle:
+            saved = json.load(handle)
+        assert saved["chunk_index"] == seen[-1].chunk_index == 2
+        assert raised.value.fl_trainings == seen[-1].evaluations > 0
+
+    def test_resume_is_bitwise_and_counts_only_new_trainings(self, tmp_path):
+        reference = _drive(tmp_path / "reference")
+        observe, _ = _stop_after(2)
+        with pytest.raises(_Stop) as raised:
+            _drive(tmp_path, on_snapshot=observe)
+        messages = []
+        resumed = _drive(tmp_path, messages=messages)
+        assert resumed.continued
+        assert any("continuing IPSS from checkpoint" in m for m in messages)
+        assert resumed.result.values.tolist() == reference.result.values.tolist()
+        assert (
+            raised.value.fl_trainings + resumed.fl_trainings
+            == reference.fl_trainings
+        )
+
+    def test_checkpoint_every_zero_writes_no_checkpoint(self, tmp_path):
+        observe, _ = _stop_after(2)
+        with pytest.raises(_Stop):
+            _drive(tmp_path, checkpoint_every=0, on_snapshot=observe)
+        assert not os.path.exists(tmp_path / "cell.state.json")
+
+    def test_stale_checkpoint_restarts_from_scratch(self, tmp_path):
+        observe, _ = _stop_after(2)
+        with pytest.raises(_Stop):
+            _drive(tmp_path, on_snapshot=observe)
+        messages = []
+        driven = _drive(
+            tmp_path, algorithm=IPSS(total_rounds=GAMMA + 1, seed=1), messages=messages
+        )
+        reference = IPSS(total_rounds=GAMMA + 1, seed=1).run(monotone_game(N, seed=2), N)
+        assert not driven.continued
+        assert any("ignoring stale checkpoint" in m for m in messages)
+        assert driven.result.values.tolist() == reference.values.tolist()
+        assert driven.fl_trainings == reference.utility_evaluations
+
+
+def _execution(**overrides):
+    fields = dict(
+        backend=None,
+        n_workers=1,
+        queue_dir=None,
+        spawn_workers=0,
+        worker_backend=None,
+        lease_seconds=30.0,
+    )
+    fields.update(overrides)
+    return SimpleNamespace(**fields)
+
+
+class TestExecutionFields:
+    def test_defaults_are_valid(self):
+        validate_execution(_execution())
+        validate_execution(_execution(backend="fleet", queue_dir="q", worker_backend="thread"))
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"n_workers": 0}, "n_workers"),
+            ({"backend": "bogus"}, "unknown backend"),
+            ({"backend": "fleet"}, "queue directory"),
+            ({"spawn_workers": -1}, "spawn_workers"),
+            ({"lease_seconds": 0.0}, "lease_seconds"),
+            ({"worker_backend": "fleet"}, "unknown worker backend"),
+        ],
+    )
+    def test_each_field_is_checked(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            validate_execution(_execution(**overrides))
+
+    def test_from_dict_fills_defaults(self):
+        assert execution_from_dict({}) == vars(_execution())
+
+    def test_fleet_fields_round_trip_only_off_default(self):
+        assert fleet_fields_to_dict(_execution()) == {}
+        custom = _execution(
+            backend="fleet",
+            queue_dir="q",
+            spawn_workers=2,
+            worker_backend="thread",
+            lease_seconds=5.0,
+        )
+        wire = {"backend": "fleet", **fleet_fields_to_dict(custom)}
+        assert execution_from_dict(wire) == vars(custom)
+
+
+class _RecordingUtility:
+    def __init__(self):
+        self.calls = []
+
+    def set_n_workers(self, n_workers, executor=None):
+        self.calls.append(("set_n_workers", n_workers, executor))
+
+    def set_telemetry(self, telemetry):
+        self.calls.append(("set_telemetry", telemetry))
+
+
+class TestConfigureExecution:
+    def test_default_execution_leaves_the_oracle_alone(self):
+        utility = _RecordingUtility()
+        configure_execution(utility, _execution(), print)
+        assert utility.calls == []
+
+    def test_named_backend_and_telemetry(self):
+        utility = _RecordingUtility()
+        telemetry = object()
+        configure_execution(
+            utility, _execution(backend="thread", n_workers=2), print, telemetry
+        )
+        assert utility.calls == [
+            ("set_n_workers", 2, "thread"),
+            ("set_telemetry", telemetry),
+        ]
+
+    def test_fleet_backend_builds_the_executor(self, tmp_path):
+        from repro.fleet.coordinator import FleetExecutor
+
+        utility = _RecordingUtility()
+        configure_execution(
+            utility,
+            _execution(backend="fleet", queue_dir=str(tmp_path / "q"), lease_seconds=5.0),
+            print,
+        )
+        ((call, n_workers, executor),) = utility.calls
+        try:
+            assert (call, n_workers) == ("set_n_workers", 1)
+            assert isinstance(executor, FleetExecutor)
+        finally:
+            executor.close()
