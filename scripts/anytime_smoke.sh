@@ -4,9 +4,9 @@
 # 1. a full-budget IPSS run on the paper's n=10 / γ=32 grid, store-backed;
 # 2. the same cell with `--stop-on rank:1` must stop with STRICTLY fewer
 #    oracle evaluations while reproducing the full-budget ranking exactly;
-# 3. a run interrupted mid-valuation must resume from its estimator
-#    checkpoint (`repro resume`), perform ZERO extra FL trainings against the
-#    warm store, and land on bitwise-identical values.
+# 3. a run interrupted inside IPSS's sampled (phase-2) stratum must resume
+#    from its estimator checkpoint (`repro resume`), perform ZERO extra FL
+#    trainings against the warm store, and land on bitwise-identical values.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -57,7 +57,7 @@ EOF
 # Interrupt a fresh run of the same cell mid-valuation (the warm store means
 # the partial run itself trains nothing), then finish it with `repro resume`.
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python - "$SMOKE_DIR" <<'EOF'
-import sys
+import glob, json, sys
 from repro.experiments.pipeline import ExperimentPlan, run_plan
 from repro.experiments.specs import TaskSpec
 from repro.store import open_store
@@ -69,8 +69,11 @@ spec = TaskSpec(
 )
 plan = ExperimentPlan(tasks=(spec,), algorithms=("IPSS",))
 
+# Chunks 1-2 are IPSS's exhaustive strata (k* = 1); chunk 3 evaluates the
+# first 8 of the 21 sampled pairs, so the resume below decodes a phase-2
+# checkpoint.
 def interrupt(spec, algorithm, snapshot):
-    if snapshot.chunk_index == 2:
+    if snapshot.chunk_index == 3:
         raise KeyboardInterrupt
 
 with open_store(f"{smoke_dir}/store.sqlite") as store:
@@ -80,7 +83,10 @@ with open_store(f"{smoke_dir}/store.sqlite") as store:
         pass
     else:
         raise AssertionError("the interrupted run was expected to stop mid-cell")
-print("anytime smoke: run interrupted mid-valuation, checkpoint on disk")
+(checkpoint,) = glob.glob(f"{smoke_dir}/resume/checkpoints/*.state.json")
+payload = json.load(open(checkpoint))["payload"]
+assert payload["partial_evaluated"] == 8, payload["partial_evaluated"]
+print("anytime smoke: run interrupted in phase 2, checkpoint on disk")
 EOF
 
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} $CLI resume \

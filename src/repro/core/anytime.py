@@ -19,14 +19,15 @@ defines the vocabulary that turns those loops into *anytime* estimators:
 
 The serialisation here is deliberately lossless: floats round-trip through
 ``repr`` (Python's ``json`` guarantees shortest-round-trip encoding), numpy
-arrays carry their dtype, and insertion order of coalition→utility tables is
-preserved — the order is load-bearing, because the final reduction folds
-floats in table order.
+arrays travel as their raw bytes with dtype and shape, and insertion order
+of coalition→utility tables is preserved — the order is load-bearing,
+because the final reduction folds floats in table order.
 """
 
 from __future__ import annotations
 
 import abc
+import base64
 import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence
@@ -35,7 +36,10 @@ import numpy as np
 
 from repro.core.result import ValuationResult
 
-STATE_FORMAT_VERSION = 1
+#: format 2 stores arrays as base64 bytes and IPSS's phase 2 as arrays (see
+#: ``docs/anytime.md``); a format-1 checkpoint is refused and its valuation
+#: restarts
+STATE_FORMAT_VERSION = 2
 
 #: two-sided normal quantile for the default 95% confidence level
 _Z_BY_LEVEL = {0.90: 1.6448536269514722, 0.95: 1.959963984540054, 0.99: 2.5758293035489004}
@@ -89,12 +93,21 @@ def encode_state_value(value):
     """Encode a payload value into JSON-safe, type-tagged form.
 
     Handles the structures estimator payloads are built from: numpy arrays
-    (dtype-tagged), frozenset coalitions, coalition-keyed and int-keyed dicts
-    (order preserved — it is load-bearing for bitwise-reproducible folds),
-    plus plain scalars/lists/str-keyed dicts.
+    (base64 of their bytes, dtype- and shape-tagged), frozenset coalitions,
+    coalition-keyed and int-keyed dicts (order preserved — it is load-bearing
+    for bitwise-reproducible folds), plus plain scalars/lists/str-keyed dicts.
     """
     if isinstance(value, np.ndarray):
-        return {"__t": "nd", "dtype": str(value.dtype), "v": value.tolist()}
+        if value.dtype.hasobject:
+            raise TypeError("unsupported payload array dtype: object")
+        # Raw bytes, not a list of floats: lossless to the bit, and encoding
+        # costs a memcpy where ``repr`` per float would dominate a checkpoint.
+        return {
+            "__t": "nd",
+            "dtype": value.dtype.str,
+            "shape": list(value.shape),
+            "b64": base64.b64encode(value.tobytes()).decode("ascii"),
+        }
     if isinstance(value, frozenset):
         return {"__t": "fs", "v": sorted(int(m) for m in value)}
     if isinstance(value, dict):
@@ -130,7 +143,9 @@ def decode_state_value(value):
     if isinstance(value, dict):
         tag = value.get("__t")
         if tag == "nd":
-            return np.asarray(value["v"], dtype=np.dtype(value["dtype"]))
+            raw = base64.b64decode(value["b64"])
+            array = np.frombuffer(raw, dtype=np.dtype(value["dtype"]))
+            return array.reshape(value["shape"]).copy()
         if tag == "fs":
             return frozenset(int(m) for m in value["v"])
         if tag == "fsmap":
@@ -178,7 +193,9 @@ class EstimatorState:
         """Lossless JSON form of the state (the checkpoint file format)."""
 
         def _array(value):
-            return None if value is None else np.asarray(value, dtype=float).tolist()
+            if value is None:
+                return None
+            return encode_state_value(np.asarray(value, dtype=float))
 
         return {
             "state_format": STATE_FORMAT_VERSION,
@@ -206,7 +223,7 @@ class EstimatorState:
             )
 
         def _array(value):
-            return None if value is None else np.asarray(value, dtype=float)
+            return None if value is None else decode_state_value(value)
 
         return cls(
             algorithm=str(payload["algorithm"]),

@@ -17,12 +17,12 @@ Under the FL linear-regression model the relative error is bounded by
 where τ is the cost of one FL training.
 
 Evaluation is incremental: one coalition-size stratum per chunk during the
-exhaustive phase (each planned through ``_batch_utilities``), then one final
-chunk for the balanced partial stratum.  Marginal contributions fold as soon
-as both endpoints are evaluated — per client in the monolithic loop's exact
-order — so exhausting the chunks is bitwise-identical to the one-shot run,
-while a convergence-based stopping rule can cut the later (low-coefficient)
-strata and save their FL trainings.
+exhaustive phase (each planned through ``_batch_utilities``), then the
+balanced partial stratum in slices of ``partial_chunk_size``.  Marginal
+contributions fold as soon as both endpoints are evaluated — per client in
+the monolithic loop's exact order — so exhausting the chunks is
+bitwise-identical to the one-shot run, while a convergence-based stopping
+rule can cut the later (low-coefficient) strata and save their FL trainings.
 """
 
 from __future__ import annotations
@@ -37,11 +37,24 @@ from repro.utils.combinatorics import (
     balanced_coalitions_of_size,
     client_appearance_counts,
     coalitions_of_size,
+    colex_ranks,
     count_coalitions_up_to,
     marginal_coefficient,
     max_fully_enumerable_size,
 )
 from repro.utils.rng import SeedLike
+
+
+def _pair_bases(rows: np.ndarray) -> np.ndarray:
+    """The base ``T \\ {T[j]}`` of every (row, member) pair, row-major.
+
+    ``rows`` holds sorted coalitions of one size ``s``; the result has
+    ``len(rows) · s`` sorted rows of ``s − 1`` members, pair ``(r, j)`` at
+    index ``r · s + j`` — the order of ``rows.ravel()``.
+    """
+    size = rows.shape[1]
+    bases = np.stack([np.delete(rows, j, axis=1) for j in range(size)], axis=1)
+    return bases.reshape(len(rows) * size, size - 1)
 
 
 class IPSS(ValuationAlgorithm):
@@ -114,8 +127,9 @@ class IPSS(ValuationAlgorithm):
             "next_size": 0,
             "k_star": k_star,
             "partial": None,
+            "contributions": None,
+            "base_utilities": None,
             "partial_evaluated": 0,
-            "partial_count": 0,
             "values": np.zeros(n_clients),
             "counts": np.zeros(n_clients),
         }
@@ -150,85 +164,94 @@ class IPSS(ValuationAlgorithm):
                 )
             payload["next_size"] = size + 1
             done = size >= k_star and not self._has_partial_phase(n_clients, k_star)
-            self._last_partial_count = int(payload["partial_count"])
+            self._last_partial_count = 0
             return StepResult(
                 values=values.copy(), stderr=None, n_samples=counts.copy(), done=done
             )
 
         # Phase 2 (lines 8-14): the balanced (k*+1)-stratum sample.  The whole
         # sample is drawn in one RNG consumption (chunk boundaries must not
-        # move the stream), then evaluated slice by slice; each slice is one
-        # ``_batch_utilities`` plan and one snapshot.
+        # move the stream), kept as an int matrix with sorted rows, then
+        # evaluated slice by slice; each slice is one ``_batch_utilities``
+        # plan and one snapshot.
         if payload["partial"] is None:
             leftover = self.total_rounds - count_coalitions_up_to(n_clients, k_star)
-            payload["partial"] = balanced_coalitions_of_size(
-                n_clients, k_star + 1, leftover, rng
-            )
+            sample = balanced_coalitions_of_size(n_clients, k_star + 1, leftover, rng)
+            rows = np.array([sorted(c) for c in sample], dtype=np.int64)
+            payload["partial"] = rows.reshape(len(sample), k_star + 1)
+            payload["contributions"] = np.zeros(payload["partial"].shape)
             payload["partial_evaluated"] = 0
-            payload["partial_count"] = len(payload["partial"])
-        partial = payload["partial"]
+            # Phase 2 only reads the size-k* stratum: keep it as an array
+            # indexed by colex rank and drop the coalition table.
+            stratum = [
+                (sorted(key), u) for key, u in payload["utilities"].items()
+                if len(key) == k_star
+            ]
+            members = np.array([key for key, _ in stratum], dtype=np.int64)
+            base_utilities = np.empty(len(stratum))
+            base_utilities[colex_ranks(members.reshape(len(stratum), k_star))] = [
+                u for _, u in stratum
+            ]
+            payload["base_utilities"] = base_utilities
+            payload["utilities"] = {}
+        partial, contributions = payload["partial"], payload["contributions"]
         self._last_partial_count = len(partial)
         cursor = int(payload["partial_evaluated"])
-        if self.partial_chunk_size is None:
-            chunk = partial[cursor:]
-        else:
-            chunk = partial[cursor : cursor + self.partial_chunk_size]
-        if chunk:
-            payload["utilities"].update(self._batch_utilities(utility, chunk))
-        cursor += len(chunk)
-        payload["partial_evaluated"] = cursor
-        evaluated_partial = partial[:cursor]
+        stop = len(partial)
+        if self.partial_chunk_size is not None:
+            stop = min(stop, cursor + self.partial_chunk_size)
+        if stop > cursor:
+            # Row r, column j holds U(T_r) − U(T_r \ {T_r[j]}): the marginal
+            # of member j against its size-k* base.  Only this slice's rows
+            # are filled, so a chunk's work is O(chunk).
+            rows = partial[cursor:stop]
+            coalitions = [frozenset(row) for row in rows.tolist()]
+            evaluated = self._batch_utilities(utility, coalitions)
+            full = np.array([evaluated[coalition] for coalition in coalitions])
+            ranks = colex_ranks(_pair_bases(rows)).reshape(rows.shape)
+            base_utilities = payload["base_utilities"][ranks]
+            contributions[cursor:stop] = full[:, None] - base_utilities
+        payload["partial_evaluated"] = stop
 
-        # Fold the size-k* marginals against the evaluated part of the sample
-        # onto a *copy* of the phase-1 accumulators.  Rather than re-walking
-        # the entire C(n, k*) base stratum per chunk, only the pairs the
-        # sample can actually form are folded: each evaluated (k*+1)-sized
-        # coalition T yields one (T \ {i}, i) pair per member, and sorting
-        # the pairs by (base, client) reproduces the monolithic nested loop's
-        # (lexicographic base, ascending client) visit order restricted to
-        # its hits — so once the sample is fully evaluated the final chunk is
-        # bitwise-identical to the one-shot computation, at
-        # O(|sample|·k*·log|sample|) per chunk instead of O(C(n, k*)·n).
+        # Fold the size-k* marginals of the evaluated rows onto a *copy* of
+        # the phase-1 accumulators.  The monolithic nested loop visits bases
+        # lexicographically and clients ascending; sorting the evaluated
+        # (base, client) pairs the same way and adding them with ``np.add.at``
+        # (unbuffered, in index order) adds the same floats in the same order,
+        # so every snapshot — and the final one against the one-shot run — is
+        # bitwise-identical to the per-pair loop.
+        weight = marginal_coefficient(n_clients, k_star)
+        clients = partial[:stop].ravel()
+        bases = _pair_bases(partial[:stop])
+        # np.lexsort's last key is the primary one: base members, then client.
+        keys = (clients,) + tuple(bases[:, i] for i in reversed(range(k_star)))
+        order = np.lexsort(keys)
+        ordered_clients = clients[order]
+        ordered = contributions[:stop].ravel()[order]
         values = values.copy()
-        counts = counts.copy()
-        weight = (
-            marginal_coefficient(n_clients, k_star)
-            if k_star <= n_clients - 1
-            else 0.0
-        )
+        np.add.at(values, ordered_clients, weight * ordered)
+        contrib_count = np.bincount(clients, minlength=n_clients).astype(float)
         contrib_sum = np.zeros(n_clients)
+        np.add.at(contrib_sum, ordered_clients, ordered)
         contrib_sumsq = np.zeros(n_clients)
-        contrib_count = np.zeros(n_clients)
-        if evaluated_partial and k_star <= n_clients - 1:
-            pairs = [
-                (tuple(sorted(with_client - {client})), client, with_client)
-                for with_client in evaluated_partial
-                for client in with_client
-            ]
-            pairs.sort(key=lambda pair: (pair[0], pair[1]))
-            for base_members, client, with_client in pairs:
-                contribution = (
-                    payload["utilities"][with_client]
-                    - payload["utilities"][frozenset(base_members)]
-                )
-                values[client] += weight * contribution
-                counts[client] += 1
-                contrib_sum[client] += contribution
-                contrib_sumsq[client] += contribution * contribution
-                contrib_count[client] += 1
+        np.add.at(contrib_sumsq, ordered_clients, ordered * ordered)
+        planned = np.bincount(partial.ravel(), minlength=n_clients).astype(float)
         return StepResult(
             values=values,
             stderr=self._remaining_uncertainty(
-                n_clients, partial, weight, contrib_sum, contrib_sumsq, contrib_count
+                planned - contrib_count,
+                weight,
+                contrib_sum,
+                contrib_sumsq,
+                contrib_count,
             ),
-            n_samples=counts,
-            done=cursor >= len(partial),
+            n_samples=counts + contrib_count,
+            done=stop >= len(partial),
         )
 
     @staticmethod
     def _remaining_uncertainty(
-        n_clients: int,
-        partial: list,
+        remaining: np.ndarray,
         weight: float,
         contrib_sum: np.ndarray,
         contrib_sumsq: np.ndarray,
@@ -240,7 +263,7 @@ class IPSS(ValuationAlgorithm):
         uncertainty, not a statistical CI on the true Shapley value: for each
         client it bounds how far the value can still move before the plan is
         exhausted, by projecting the sample standard deviation of the
-        client's evaluated phase-2 marginals onto its remaining planned
+        client's evaluated phase-2 marginals onto its ``remaining`` planned
         appearances (``weight · sqrt(remaining · s²)``).  Clients whose
         planned appearances are all evaluated report exactly ``0.0``;
         clients with fewer than two evaluated marginals but work remaining
@@ -249,25 +272,17 @@ class IPSS(ValuationAlgorithm):
         ``ConvergenceRule(metric="ci")`` can stop IPSS early once every
         client's residual is small, and never stops on ignorance.
         """
-        planned = client_appearance_counts(partial, n_clients).astype(float)
-        remaining = planned - contrib_count
-        stderr = np.zeros(n_clients)
-        for client in range(n_clients):
-            if remaining[client] <= 0:
-                stderr[client] = 0.0
-            elif contrib_count[client] >= 2:
-                mean = contrib_sum[client] / contrib_count[client]
-                variance = max(
-                    0.0,
-                    (contrib_sumsq[client] - contrib_count[client] * mean * mean)
-                    / (contrib_count[client] - 1.0),
-                )
-                stderr[client] = weight * float(
-                    np.sqrt(remaining[client] * variance)
-                )
-            else:
-                stderr[client] = np.nan
-        return stderr
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mean = contrib_sum / contrib_count
+            spread = (contrib_sumsq - contrib_count * mean * mean) / (
+                contrib_count - 1.0
+            )
+            # Not np.maximum: a -0.0 or NaN spread must clamp to +0.0.
+            variance = np.where(spread > 0.0, spread, 0.0)
+            residual = weight * np.sqrt(remaining * variance)
+        return np.where(
+            remaining <= 0, 0.0, np.where(contrib_count >= 2, residual, np.nan)
+        )
 
     def _estimate(
         self, utility: UtilityFunction, n_clients: int, rng: np.random.Generator

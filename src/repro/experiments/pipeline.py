@@ -406,13 +406,18 @@ class RunReport:
         }
 
 
-def write_json(path: str, payload: dict) -> None:
-    """Atomic JSON write: a crash mid-dump must not corrupt the file."""
+def write_atomic(path: str, text: str) -> None:
+    """Atomic file write: a crash mid-write must not corrupt the file."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp_path = path + ".tmp"
     with open(tmp_path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write(text)
     os.replace(tmp_path, path)
+
+
+def write_json(path: str, payload: dict) -> None:
+    """Atomic, indented JSON write (manifests and results are read by people)."""
+    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True))
 
 
 def load_manifest(run_dir: str) -> Optional[dict]:
@@ -592,7 +597,9 @@ def save_checkpoint(path: str, snapshot: ValuationSnapshot) -> bool:
     """Persist a snapshot's estimator state; ``False`` if it cannot resume."""
     if snapshot.state is None or snapshot.done:
         return False
-    write_json(path, snapshot.state.to_dict())
+    # Compact on purpose: without ``indent`` one ``json.dumps`` runs CPython's
+    # C encoder, where an indented dump always runs the pure-Python one.
+    write_atomic(path, json.dumps(snapshot.state.to_dict(), separators=(",", ":")))
     return True
 
 

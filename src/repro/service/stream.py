@@ -152,17 +152,20 @@ def follow_events(
     """Replay a job's event log, then tail it until *done* reports True.
 
     Yields each event dict exactly once, in file order.  After *done* turns
-    true one final read drains any events that raced the last poll.
+    true one final read drains any events that raced the last poll.  Only
+    newline-terminated lines are parsed: a line the writer is still
+    appending stays behind ``offset`` until a later poll sees it whole.
     """
     offset = 0
     while True:
         finished = done()
         if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as handle:
+            with open(path, "rb") as handle:
                 handle.seek(offset)
                 chunk = handle.read()
-                offset = handle.tell()
-            for line in chunk.splitlines():
+            complete = chunk.rfind(b"\n") + 1
+            offset += complete
+            for line in chunk[:complete].splitlines():
                 line = line.strip()
                 if line:
                     yield json.loads(line)

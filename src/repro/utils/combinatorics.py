@@ -95,6 +95,28 @@ def unrank_combination(n: int, k: int, rank: int) -> frozenset:
     return frozenset(members)
 
 
+def colex_ranks(rows: np.ndarray) -> np.ndarray:
+    """Colexicographic ranks of size-``k`` coalitions, one per sorted row.
+
+    ``rank(c_0 < … < c_{k-1}) = Σ_i C(c_i, i + 1)`` maps the size-``k``
+    subsets of ``range(n)`` one-to-one onto ``range(C(n, k))`` for every
+    ``n``, so an array of that length can hold one value per coalition of a
+    stratum.  Exact in int64 (each step is an exact integer division) and
+    vectorised over rows; an ``(m, 0)`` input ranks the empty coalition 0.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    ranks = np.zeros(len(rows), dtype=np.int64)
+    for position in range(rows.shape[1]):
+        column = rows[:, position]
+        binomial = np.ones_like(column)
+        for step in range(position + 1):
+            # C(c, step + 1) = C(c, step) · (c − step) / (step + 1); it hits 0
+            # once step == c, so members below position + 1 contribute 0.
+            binomial = binomial * (column - step) // (step + 1)
+        ranks += binomial
+    return ranks
+
+
 #: strata at most this large draw sample *ranks* in one vectorised
 #: ``rng.choice(total, replace=False)`` call; larger strata use rejection
 #: sampling on coalitions so nothing C(n, k)-shaped is ever allocated
@@ -282,8 +304,5 @@ def client_appearance_counts(
     coalitions: Iterable[frozenset], n: int
 ) -> np.ndarray:
     """Count how many of the given coalitions contain each client."""
-    counts = np.zeros(n, dtype=int)
-    for coalition in coalitions:
-        for member in coalition:
-            counts[member] += 1
-    return counts
+    members = np.fromiter(itertools.chain.from_iterable(coalitions), dtype=np.intp)
+    return np.bincount(members, minlength=n).astype(int, copy=False)

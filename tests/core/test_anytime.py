@@ -331,6 +331,7 @@ class TestStateSerialisation:
     def test_payload_codec_roundtrip(self):
         payload = {
             "array": np.arange(6, dtype=float).reshape(2, 3),
+            "special": np.array([np.nan, -0.0, np.inf, 0.1 + 0.2]),
             "int_array": np.array([1, 2, 3]),
             "coalition": frozenset({0, 3}),
             "table": {frozenset(): 0.1, frozenset({1, 2}): 0.25},
@@ -341,6 +342,7 @@ class TestStateSerialisation:
         decoded = decode_state_value(json.loads(json.dumps(encode_state_value(payload))))
         assert decoded["array"].tolist() == payload["array"].tolist()
         assert decoded["array"].dtype == payload["array"].dtype
+        assert decoded["special"].tobytes() == payload["special"].tobytes()
         assert decoded["int_array"].dtype == payload["int_array"].dtype
         assert decoded["coalition"] == payload["coalition"]
         assert decoded["table"] == payload["table"]

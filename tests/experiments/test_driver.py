@@ -20,6 +20,7 @@ from repro.experiments.pipeline import (
     drive_valuation,
     execution_from_dict,
     fleet_fields_to_dict,
+    load_estimator_checkpoint,
     validate_execution,
 )
 
@@ -104,6 +105,54 @@ class TestDriveValuation:
         assert any("ignoring stale checkpoint" in m for m in messages)
         assert driven.result.values.tolist() == reference.values.tolist()
         assert driven.fl_trainings == reference.utility_evaluations
+
+
+class TestFormatOneCheckpoint:
+    """A checkpoint from before the array-backed IPSS payload (format 1)."""
+
+    # Recorded mid phase 2 by the format-1 code: IPSS(total_rounds=30,
+    # partial_chunk_size=8, seed=3) on monotone_game(8, seed=5), chunk 3,
+    # with the balanced sample stored as a list of frozensets.
+    V1_PATH = os.path.join(
+        os.path.dirname(__file__), "..", "data", "ipss_checkpoint_v1.json"
+    )
+
+    @staticmethod
+    def _algorithm():
+        return IPSS(total_rounds=30, partial_chunk_size=8, seed=3)
+
+    def _copy(self, tmp_path):
+        path = tmp_path / "cell.state.json"
+        with open(self.V1_PATH, "r", encoding="utf-8") as handle:
+            saved = json.load(handle)
+        assert saved["state_format"] == 1
+        assert saved["payload"]["partial"][0]["__t"] == "fs"
+        path.write_text(json.dumps(saved), encoding="utf-8")
+        return str(path)
+
+    def test_is_ignored_as_unreadable(self, tmp_path):
+        messages = []
+        state = load_estimator_checkpoint(
+            self._copy(tmp_path), self._algorithm(), 8, messages.append
+        )
+        assert state is None
+        assert any("ignoring unreadable checkpoint" in m for m in messages)
+
+    def test_driver_restarts_and_matches_a_fresh_run(self, tmp_path):
+        checkpoint = self._copy(tmp_path)
+        messages = []
+        driven = drive_valuation(
+            self._algorithm(),
+            monotone_game(8, seed=5),
+            checkpoint,
+            "IPSS",
+            messages.append,
+        )
+        fresh = self._algorithm().run(monotone_game(8, seed=5), 8)
+        assert not driven.continued
+        assert any("ignoring unreadable checkpoint" in m for m in messages)
+        assert driven.result.values.tobytes() == fresh.values.tobytes()
+        assert driven.fl_trainings == fresh.utility_evaluations == 30
 
 
 def _execution(**overrides):

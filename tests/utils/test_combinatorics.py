@@ -14,6 +14,7 @@ from repro.utils.combinatorics import (
     client_appearance_counts,
     coalition_key,
     coalitions_of_size,
+    colex_ranks,
     count_coalitions_up_to,
     marginal_coefficient,
     max_fully_enumerable_size,
@@ -204,6 +205,20 @@ class TestUnranking:
         last = unrank_combination(500, 250, total - 1)
         assert first == frozenset(range(250))
         assert last == frozenset(range(250, 500))
+
+
+class TestColexRanks:
+    def test_each_stratum_maps_onto_its_index_range(self):
+        for n in range(0, 9):
+            for k in range(0, n + 1):
+                rows = [sorted(c) for c in coalitions_of_size(n, k)]
+                ranks = colex_ranks(np.array(rows, dtype=np.int64).reshape(len(rows), k))
+                assert sorted(ranks.tolist()) == list(range(n_choose_k(n, k)))
+
+    def test_matches_the_binomial_sum_at_large_n(self):
+        rows = np.array([[3, 250, 499], [0, 1, 2]])
+        expected = [math.comb(3, 1) + math.comb(250, 2) + math.comb(499, 3), 0]
+        assert colex_ranks(rows).tolist() == expected
 
 
 class TestSampleCoalitionsOfSize:
