@@ -4,10 +4,11 @@ Per-coalition FL training (the paper's τ) dominates every algorithm, so the
 batched engine is measured two ways:
 
 * **Worker scaling** — a synthetic 8-client task whose oracle carries an
-  explicit modeled τ per coalition (a GIL-releasing sleep, the same shape as
-  real multi-process FL training): ``n_workers=4`` must yield >1.5×
-  wall-clock speedup over serial execution for both StratifiedSampling and
-  IPSS under identical budgets, with bitwise-identical values.
+  explicit modeled τ per coalition (a sleep, so the worker processes overlap
+  the way real multi-process FL training does): a process pool with
+  ``n_workers=4`` must yield >1.5× wall-clock speedup over serial execution
+  for both StratifiedSampling and IPSS under identical budgets, with
+  bitwise-identical values.
 * **Vectorized backend** — real FL training on the paper's standard IPSS
   grid (n = 10 clients, γ = 32 from Table III; MLP model): the vectorized
   executor must evaluate the grid ≥3× faster than the serial executor, with
@@ -37,7 +38,7 @@ from harness import BenchResult, load_bench_json, save_bench_json
 
 N_CLIENTS = 8
 SEED = 5
-#: modeled per-coalition training cost τ (seconds); sleeping releases the GIL
+#: modeled per-coalition training cost τ (seconds)
 TAU = 0.02
 
 
@@ -55,16 +56,16 @@ class ModeledCostGame:
 
 
 def _timed_run(algorithm, n_workers: int):
-    oracle = BatchUtilityOracle(
+    with BatchUtilityOracle(
         ModeledCostGame(N_CLIENTS, TAU, SEED),
         n_clients=N_CLIENTS,
         n_workers=n_workers,
-        executor="serial" if n_workers == 1 else "thread",
-    )
-    start = time.perf_counter()
-    values = algorithm.run(oracle, N_CLIENTS).values
-    elapsed = time.perf_counter() - start
-    return elapsed, values, oracle.evaluations
+        executor="serial" if n_workers == 1 else "process",
+    ) as oracle:
+        start = time.perf_counter()
+        values = algorithm.run(oracle, N_CLIENTS).values
+        elapsed = time.perf_counter() - start
+        return elapsed, values, oracle.evaluations
 
 
 def _scaling_rows(algorithm_factory, worker_counts=(1, 2, 4)):
@@ -120,7 +121,7 @@ def test_parallel_speedup(benchmark, results_dir):
                     "n_workers": row["n_workers"],
                     "n_clients": N_CLIENTS,
                     "tau": TAU,
-                    "backend": "serial" if row["n_workers"] == 1 else "thread",
+                    "backend": "serial" if row["n_workers"] == 1 else "process",
                 },
                 wall_time_s=row["time_s"],
                 speedup=row["speedup"],

@@ -9,7 +9,7 @@ The package is organised in five layers:
 * :mod:`repro.core` — the valuation algorithms: exact Shapley schemes, the
   unified stratified sampling framework, K-Greedy, IPSS and nine baselines.
 * :mod:`repro.parallel` — batched coalition-evaluation engine: a batch-capable
-  utility oracle with serial/thread/process executors (``n_workers``).
+  utility oracle with serial/process/vectorized/fleet executors.
 * :mod:`repro.store` — persistent, content-addressed coalition-utility store
   (SQLite / sharded JSONL) shared across processes and runs.
 * :mod:`repro.scenarios` — composable client-behavior scenarios (free riders,

@@ -29,9 +29,8 @@ class UnpicklableCallable(Rule):
 
     Lambdas and locally-defined functions cannot be pickled; handing one to an
     executor submission path, or storing one as a spec's ``model_factory`` /
-    an oracle's ``evaluator``, works under the serial and thread backends and
-    then breaks the moment ``--backend process`` is selected (the regression
-    class fixed in the PR 4 review).  Use a module-level function or
+    an oracle's ``evaluator``, works under the serial backend and then breaks
+    the moment ``--backend process`` (or ``--n-workers`` above 1) is selected.  Use a module-level function or
     ``functools.partial`` — the round-trip contract is pinned by
     ``tests/test_picklability.py``.
     """

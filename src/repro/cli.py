@@ -152,8 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--backend",
         choices=EXECUTOR_BACKENDS,
-        help="coalition-evaluation backend (default: serial, auto-threads "
-        "when --n-workers > 1); 'vectorized' trains whole coalition batches "
+        help="coalition-evaluation backend (default: serial, or a process "
+        "pool when --n-workers > 1); 'vectorized' trains whole coalition batches "
         "in lockstep on stacked parameters — see docs/performance.md",
     )
     run.add_argument(

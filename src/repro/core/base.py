@@ -57,7 +57,7 @@ class SupportsBatchEvaluation(Protocol):
     ``{coalition: utility}`` with keys in first-appearance input order; see
     :class:`repro.parallel.BatchUtilityOracle` for the reference
     implementation (deduplication, caching, and an `n_workers`-configurable
-    serial/thread/process executor behind a single call).
+    serial/process/vectorized/fleet executor behind a single call).
     """
 
     def evaluate_batch(

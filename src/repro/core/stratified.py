@@ -184,8 +184,8 @@ class StratifiedSampling(ValuationAlgorithm):
         """The coalition paired with a sampled one for a given member.
 
         MC pairs ``S ∋ i`` with ``S \\ {i}``; CC pairs it with ``N \\ S``.
-        Both the prefetch plan and the estimation loop must use this single
-        definition, or prefetched pairs drift from the pairs the estimator
+        Both the batch plan and the estimation loop must use this single
+        definition, or planned pairs drift from the pairs the estimator
         looks up.
         """
         if self.scheme == "mc":

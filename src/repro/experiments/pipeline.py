@@ -268,7 +268,8 @@ class ExperimentPlan:
     algorithm runs on every task, and each (task, algorithm) pair is one
     resumable cell.  ``backend`` picks the coalition-evaluation executor
     (:data:`~repro.parallel.executors.EXECUTOR_BACKENDS`; ``None`` keeps the
-    oracle's automatic serial/thread choice) and is recorded in the manifest
+    oracle's automatic choice — serial for one worker, a process pool for
+    more) and is recorded in the manifest
     alongside ``n_workers``.
 
     The ``fleet`` backend additionally needs ``queue_dir`` (the shared lease

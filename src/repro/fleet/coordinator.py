@@ -40,11 +40,16 @@ import time
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.fleet.queue import DEFAULT_MAX_ATTEMPTS, LeaseQueue, WorkPayload
-from repro.parallel.executors import CoalitionExecutor, Evaluator, SerialExecutor
+from repro.parallel.executors import (
+    EXECUTOR_BACKENDS,
+    CoalitionExecutor,
+    Evaluator,
+    SerialExecutor,
+)
 from repro.store import MemoryUtilityStore, UtilityStore, utility_key
 
 #: executor backends a worker may run internally (no fleet-in-fleet)
-WORKER_BACKENDS = ("serial", "thread", "process", "vectorized")
+WORKER_BACKENDS = tuple(name for name in EXECUTOR_BACKENDS if name != "fleet")
 
 
 def spawn_worker(

@@ -166,7 +166,7 @@ def run_worker(
     backend, n_workers:
         The executor each batch is evaluated with *inside* this worker —
         ``"serial"`` (default) or ``"vectorized"`` are the intended choices;
-        thread/process pools compose too.
+        a process pool composes too.
     lease_seconds:
         Lease length requested per claim; renewed at a third of this while a
         batch evaluates.
@@ -180,7 +180,8 @@ def run_worker(
         how coordinator-spawned workers terminate.
     stop_event:
         Optional :class:`threading.Event`; setting it makes the worker exit
-        before its next claim — how in-process (thread) workers terminate.
+        before its next claim — how workers running on in-process threads
+        terminate.
     """
     say = log if log is not None else (lambda message: None)
     stats = WorkerStats(worker_id=worker_id or default_worker_id())

@@ -7,7 +7,7 @@ they need.  This package turns that structure into throughput:
 * :class:`BatchUtilityOracle` — a utility oracle that accepts whole coalition
   batches, deduplicates them against a concurrency-safe cache and trains the
   misses concurrently;
-* :mod:`repro.parallel.executors` — the pluggable serial / thread / process /
+* :mod:`repro.parallel.executors` — the pluggable serial / process /
   vectorized / fleet backends behind it, all order-deterministic.  The
   vectorized backend trains the whole miss batch in lockstep on stacked
   parameter matrices (:mod:`repro.fl.vectorized`); the fleet backend
@@ -28,7 +28,6 @@ from repro.parallel.executors import (
     CoalitionExecutor,
     ProcessPoolExecutor,
     SerialExecutor,
-    ThreadPoolExecutor,
     VectorizedExecutor,
     make_executor,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "coalition_batch_keys",
     "CoalitionExecutor",
     "SerialExecutor",
-    "ThreadPoolExecutor",
     "ProcessPoolExecutor",
     "VectorizedExecutor",
     "make_executor",

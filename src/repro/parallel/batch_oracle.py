@@ -5,8 +5,8 @@ class: it is a drop-in utility oracle (``oracle(coalition) -> float`` with
 ``evaluations`` / ``n_clients``) that additionally accepts whole *sets* of
 coalitions at once through :meth:`evaluate_batch`.  A batch is deduplicated,
 checked against a concurrency-safe :class:`~repro.utils.cache.UtilityCache`,
-and the misses are trained concurrently on a pluggable executor (serial,
-thread pool or process pool — see :mod:`repro.parallel.executors`).
+and the misses are trained on a pluggable executor (serial, process pool,
+vectorized or fleet — see :mod:`repro.parallel.executors`).
 
 Batch-oracle protocol
 ---------------------
@@ -34,7 +34,6 @@ from repro.parallel.executors import (
     ExecutorLike,
     ProcessPoolExecutor,
     SerialExecutor,
-    ThreadPoolExecutor,
     make_executor,
 )
 from repro.store import StoreLike, UtilityStore, resolve_store
@@ -53,6 +52,9 @@ def coalition_batch_keys(coalitions: Iterable[Iterable[int]]) -> list[frozenset]
 class BatchUtilityOracle:
     """Cached, batch-capable, optionally parallel utility oracle ``U(S)``.
 
+    :class:`~repro.fl.utility.CoalitionUtility` is this class with a
+    :class:`~repro.fl.federation.FederatedTrainer` as the evaluator.
+
     Parameters
     ----------
     evaluator:
@@ -66,10 +68,10 @@ class BatchUtilityOracle:
         Concurrency level for cache misses inside a batch.  ``1`` (default)
         keeps evaluation strictly sequential.
     executor:
-        Backend name (``"serial"``/``"thread"``/``"process"``/
-        ``"vectorized"``), an existing
-        :class:`~repro.parallel.executors.CoalitionExecutor`, or ``None`` to
-        choose automatically from ``n_workers``.  Process pools require a
+        Backend name (``"serial"``/``"process"``/``"vectorized"``), an
+        existing :class:`~repro.parallel.executors.CoalitionExecutor`, or
+        ``None`` to choose from ``n_workers`` (serial for one worker, a
+        process pool for more).  Process pools require a
         picklable evaluator; the vectorized backend trains miss batches in
         lockstep on stacked parameters when the evaluator is backed by a
         :class:`~repro.fl.federation.FederatedTrainer` with a
@@ -92,9 +94,10 @@ class BatchUtilityOracle:
         Optional :class:`~repro.telemetry.Telemetry` handle.  When present,
         batches run inside ``oracle.batch`` spans, batch sizes feed the
         ``executor.batch_size`` histogram, the cache records hit/miss/latency
-        metrics, and process-backend workers emit per-evaluation spans into
-        the run journal.  ``None`` (default) disables all of it; telemetry
-        never influences values, ordering, seeds or store keys.
+        metrics, the persistent store records its read/write metrics, and
+        process-backend workers emit per-evaluation spans into the run
+        journal.  ``None`` (default) disables all of it; telemetry never
+        influences values, ordering, seeds or store keys.
     """
 
     def __init__(
@@ -168,10 +171,9 @@ class BatchUtilityOracle:
 
     def _evaluate_keys(self, keys: list[frozenset]) -> dict[frozenset, float]:
         if self._executor.shares_memory:
-            # The cache is concurrency-safe and single-flight, so workers can
-            # evaluate straight through it: hits are counted, concurrent
-            # misses of the same coalition (e.g. two overlapping batches)
-            # still train only once.
+            # Evaluate straight through the cache: hits are counted, and it
+            # is single-flight, so concurrent misses of the same coalition
+            # (overlapping batches from the caller's threads) train once.
             values = self._executor.map_utilities(self._cache.utility, keys)
             return dict(zip(keys, values))
         # Partition/deposit protocol (process and vectorized backends):
@@ -200,10 +202,6 @@ class BatchUtilityOracle:
                 results[key] = self._cache.store(key, value)
         return {key: results[key] for key in keys}
 
-    def prefetch(self, coalitions: Iterable[Iterable[int]]) -> None:
-        """Warm the cache for a batch of coalitions (parallel when enabled)."""
-        self.evaluate_batch(coalitions)
-
     # ------------------------------------------------------------------ #
     # Configuration
     # ------------------------------------------------------------------ #
@@ -214,19 +212,19 @@ class BatchUtilityOracle:
     def set_n_workers(self, n_workers: int, executor: ExecutorLike = None) -> None:
         """Reconfigure the concurrency level (and optionally the backend).
 
-        With ``executor=None`` the current backend is preserved: a process
-        pool stays a process pool (resized), a custom executor instance is
-        kept as-is, and only a serial backend auto-upgrades to threads when
-        ``n_workers > 1``.
+        With ``executor=None`` a serial backend or process pool resolves
+        from ``n_workers`` as at construction (serial for one worker, a
+        process pool for more), while any other executor instance —
+        vectorized, fleet, custom — is kept as-is.
         """
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         previous = getattr(self, "_executor", None)
-        if executor is None:
-            if type(previous) in (ThreadPoolExecutor, ProcessPoolExecutor):
-                executor = type(previous)(n_workers)
-            elif previous is not None and type(previous) is not SerialExecutor:
-                executor = previous  # custom instance: keep verbatim
+        if executor is None and previous is not None and type(previous) not in (
+            SerialExecutor,
+            ProcessPoolExecutor,
+        ):
+            executor = previous  # vectorized, fleet or custom: keep verbatim
         self._n_workers = int(n_workers)
         self._executor = make_executor(executor, self._n_workers)
         self._executor.set_telemetry(self._telemetry)
@@ -243,13 +241,17 @@ class BatchUtilityOracle:
     def set_telemetry(self, telemetry: Optional[Telemetry]) -> None:
         """Attach (or detach with ``None``) telemetry across the whole stack.
 
-        Propagates to the cache (hit/miss/latency metrics) and the active
-        executor (vectorized chunk spans).  Purely observational — see the
-        fingerprint-neutrality contract in :mod:`repro.telemetry`.
+        Propagates to the cache (hit/miss/latency metrics), the active
+        executor (vectorized chunk spans) and the attached persistent store
+        (read/write metrics); a store attached later picks it up too.
+        Purely observational — see the fingerprint-neutrality contract in
+        :mod:`repro.telemetry`.
         """
         self._telemetry = telemetry
         self._cache.set_telemetry(telemetry)
         self._executor.set_telemetry(telemetry)
+        if self._cache.persistent is not None:
+            self._cache.persistent.set_telemetry(telemetry)
 
     def close(self) -> None:
         """Release worker pools and any store handle this oracle opened.
@@ -302,6 +304,8 @@ class BatchUtilityOracle:
         resolved, owned = resolve_store(store)
         self._owns_store = owned
         self._cache.attach_store(resolved, namespace)
+        if resolved is not None and self._telemetry is not None:
+            resolved.set_telemetry(self._telemetry)
         if getattr(self, "_executor", None) is not None:
             # Keep store-aware backends (fleet) pointed at the live tier.
             self._executor.bind_store(self._cache.persistent, self._cache.namespace)

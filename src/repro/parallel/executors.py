@@ -1,16 +1,12 @@
 """Pluggable execution backends for batched coalition evaluation.
 
 A coalition executor maps an evaluator over a list of coalitions and returns
-the utilities *in input order*.  Five backends are provided:
+the utilities *in input order*.  Four backends are provided:
 
 * :class:`SerialExecutor` — plain loop; the reference semantics.
-* :class:`ThreadPoolExecutor` — concurrent evaluation in threads.  The right
-  choice when the evaluator releases the GIL (NumPy linear algebra, I/O,
-  sleeping cost models) or holds non-picklable state such as lambda model
-  factories.
 * :class:`ProcessPoolExecutor` — concurrent evaluation in worker processes.
   Requires the evaluator to be picklable; buys true CPU parallelism for
-  pure-Python training loops.
+  training loops.
 * :class:`VectorizedExecutor` — trains the whole batch in lockstep as
   stacked parameter matrices (:mod:`repro.fl.vectorized`) instead of
   parallelising per-coalition loops; no workers at all.  Falls back to the
@@ -46,7 +42,7 @@ Evaluator = Callable[[frozenset], float]
 
 #: registered backend names; all but "fleet" are constructible by
 #: :func:`make_executor` from the bare name (fleet needs a queue directory)
-EXECUTOR_BACKENDS = ("serial", "thread", "process", "vectorized", "fleet")
+EXECUTOR_BACKENDS = ("serial", "process", "vectorized", "fleet")
 
 
 class CoalitionExecutor(abc.ABC):
@@ -55,11 +51,10 @@ class CoalitionExecutor(abc.ABC):
     Attributes
     ----------
     shares_memory:
-        Whether workers see the caller's address space.  Shared-memory
-        backends (serial, thread) can evaluate through a
-        :class:`~repro.utils.cache.UtilityCache` directly and get
-        single-flight deduplication for free; process backends must have
-        results deposited back into the cache by the parent.
+        Whether workers see the caller's address space.  A shared-memory
+        backend (serial) evaluates through a
+        :class:`~repro.utils.cache.UtilityCache` directly; the others must
+        have results deposited back into the cache by the parent.
     """
 
     shares_memory: bool = True
@@ -112,17 +107,23 @@ class SerialExecutor(CoalitionExecutor):
         return [float(evaluator(coalition)) for coalition in coalitions]
 
 
-class _PooledExecutor(CoalitionExecutor):
-    """Shared machinery for pool-backed executors.
+class ProcessPoolExecutor(CoalitionExecutor):
+    """Evaluates coalitions concurrently in a persistent process pool.
 
-    The underlying worker pool is created lazily on first use and *reused*
-    across ``map_utilities`` calls — an algorithm run issues one batch per
-    phase, and paying pool startup (and, for processes, evaluator pickling)
-    per batch would dwarf the work being parallelised.  ``close`` releases
-    the pool; the next call transparently recreates it.
+    The evaluator (and its closure — datasets, model factory, config) must be
+    picklable; lambdas are not.  Side effects performed by the evaluator in
+    the workers (counters, caches) stay in the workers — only the returned
+    utilities travel back.
+
+    The pool is created lazily on first use and *reused* across
+    ``map_utilities`` calls — an algorithm run issues one batch per phase,
+    and paying pool startup and evaluator pickling per batch would dwarf the
+    work being parallelised.  ``close`` releases the pool; the next call
+    transparently recreates it.
     """
 
-    _pool_factory = None  # concurrent.futures executor class
+    shares_memory = False
+    name = "process"
 
     def __init__(self, n_workers: int) -> None:
         if n_workers < 1:
@@ -136,13 +137,14 @@ class _PooledExecutor(CoalitionExecutor):
         if len(coalitions) <= 1 or self.n_workers == 1:
             return SerialExecutor().map_utilities(evaluator, coalitions)
         if self._pool is None:
-            self._pool = self._pool_factory(max_workers=self.n_workers)
+            self._pool = concurrent.futures.ProcessPoolExecutor(
+                max_workers=self.n_workers
+            )
         try:
             return [float(v) for v in self._pool.map(evaluator, coalitions)]
         except BaseException:
             # A failed batch may leave the pool broken (e.g. an unpicklable
-            # evaluator in a process pool); discard it so the next call
-            # starts from a fresh one.
+            # evaluator); discard it so the next call starts from a fresh one.
             self.close()
             raise
 
@@ -150,28 +152,6 @@ class _PooledExecutor(CoalitionExecutor):
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-
-
-class ThreadPoolExecutor(_PooledExecutor):
-    """Evaluates coalitions concurrently in a persistent thread pool."""
-
-    shares_memory = True
-    name = "thread"
-    _pool_factory = concurrent.futures.ThreadPoolExecutor
-
-
-class ProcessPoolExecutor(_PooledExecutor):
-    """Evaluates coalitions concurrently in a persistent process pool.
-
-    The evaluator (and its closure — datasets, model factory, config) must be
-    picklable; lambdas are not.  Side effects performed by the evaluator in
-    the workers (counters, caches) stay in the workers — only the returned
-    utilities travel back.
-    """
-
-    shares_memory = False
-    name = "process"
-    _pool_factory = concurrent.futures.ProcessPoolExecutor
 
 
 class VectorizedExecutor(CoalitionExecutor):
@@ -183,8 +163,8 @@ class VectorizedExecutor(CoalitionExecutor):
     "B coalitions × FedAvg" becomes a handful of large stacked NumPy ops.
     The trainer is resolved from the evaluator itself (the bound
     ``FederatedTrainer.utility`` method that
-    :class:`~repro.fl.utility.CoalitionUtility` wires into its oracle), so
-    the backend is a drop-in choice next to serial/thread/process.
+    :class:`~repro.fl.utility.CoalitionUtility` uses as its evaluator), so
+    the backend is a drop-in choice next to serial/process.
 
     ``shares_memory`` is ``False``: like the process pool, this backend must
     receive whole *miss* batches through the oracle's partition/deposit
@@ -278,20 +258,17 @@ def make_executor(executor: ExecutorLike = None, n_workers: int = 1) -> Coalitio
 
     ``executor`` may be an existing instance (returned unchanged), a backend
     name from :data:`EXECUTOR_BACKENDS`, or ``None`` — which picks
-    :class:`SerialExecutor` for ``n_workers <= 1`` and a thread pool
-    otherwise (the only backend that is always safe, since it needs no
-    picklability).
+    :class:`SerialExecutor` for ``n_workers <= 1`` and a process pool
+    otherwise (the only per-coalition pool; it needs a picklable evaluator).
     """
     if isinstance(executor, CoalitionExecutor):
         return executor
     if n_workers < 1:
         raise ValueError(f"n_workers must be >= 1, got {n_workers}")
     if executor is None:
-        executor = "serial" if n_workers <= 1 else "thread"
+        executor = "serial" if n_workers <= 1 else "process"
     if executor == "serial":
         return SerialExecutor()
-    if executor == "thread":
-        return ThreadPoolExecutor(n_workers)
     if executor == "process":
         return ProcessPoolExecutor(n_workers)
     if executor == "vectorized":

@@ -13,8 +13,7 @@ Concurrency
 The cache is safe to share between threads: store and counters are guarded by
 a lock, and concurrent first lookups of the *same* coalition are single-flight
 (one thread evaluates, the others wait for the result), so a coalition is
-never trained twice just because two workers raced on it.  This is the
-foundation the :mod:`repro.parallel` batch-evaluation engine builds on.
+never trained twice just because two callers raced on it.
 
 Persistence
 -----------
@@ -52,13 +51,10 @@ class CacheStats:
 
     @property
     def evaluations(self) -> int:
-        """Number of evaluator calls actually performed.
+        """Number of evaluator calls actually performed (one per miss).
 
-        Every miss triggers one evaluation.  Note that with a bounded
-        ``max_size`` a coalition evicted and later revisited is *re-evaluated*
-        and counts again — this counter models total FL-training cost, not the
-        number of distinct coalitions ever seen.  Hits served by a persistent
-        store tier (``store_hits``) perform no evaluation and are not misses.
+        Hits served by a persistent store tier (``store_hits``) perform no
+        evaluation and are not misses.
         """
         return self.misses
 
@@ -83,10 +79,6 @@ class UtilityCache:
     evaluator:
         Callable mapping a coalition (``frozenset`` of client indices) to the
         utility of the FL model trained on that coalition.
-    max_size:
-        Optional bound on the number of cached entries.  ``None`` (default)
-        keeps everything, which is appropriate because the number of distinct
-        coalitions evaluated by any approximation algorithm is small.
     persistent:
         Optional :class:`~repro.store.UtilityStore` disk tier consulted on
         memory misses and written through on evaluation (see
@@ -97,7 +89,6 @@ class UtilityCache:
     """
 
     evaluator: Callable[[frozenset], float]
-    max_size: Optional[int] = None
     persistent: Optional["UtilityStore"] = None
     namespace: str = "default"
     telemetry: Optional["Telemetry"] = field(default=None, repr=False)
@@ -127,7 +118,7 @@ class UtilityCache:
         """Attach (or detach with ``None``) the telemetry handle.
 
         Telemetry observes lookups and evaluation latency only — it never
-        influences keys, values or eviction, so attaching it cannot change
+        influences keys or values, so attaching it cannot change
         what any caller computes (the fingerprint-neutrality contract).
         """
         with self._lock:
@@ -146,9 +137,6 @@ class UtilityCache:
     def _persistent_put(self, key: frozenset, value: float) -> None:
         if self.persistent is not None:
             self.persistent.put(self._persistent_key(key), value)
-
-    def __call__(self, coalition: Iterable[int]) -> float:
-        return self.utility(coalition)
 
     def utility(self, coalition: Iterable[int]) -> float:
         """Return ``U(M_S)``, evaluating and caching on first use.
@@ -172,7 +160,7 @@ class UtilityCache:
                     self._in_flight[key] = event
                     break  # this thread owns the evaluation
             # Another thread is evaluating this coalition: wait and retry
-            # (retry rather than read directly, in case of eviction/failure).
+            # (retry rather than read directly, in case its evaluation failed).
             event.wait()
         try:
             stored = self._persistent_get(key)
@@ -216,28 +204,19 @@ class UtilityCache:
 
         Re-inserting a key that is already cached (e.g. two overlapping
         process-backend batches both depositing the same coalition) only
-        refreshes the value: it must not evict an unrelated entry from a
-        full cache nor inflate the miss counter.  ``count_miss=False`` is the
-        promotion path for values served by the persistent tier, which cost
-        no evaluation.
+        refreshes the value: it must not inflate the miss counter.
+        ``count_miss=False`` is the promotion path for values served by the
+        persistent tier, which cost no evaluation.
         """
-        if key in self._store:
-            self._store[key] = value
-            return
-        if count_miss:
+        if count_miss and key not in self._store:
             self.stats.misses += 1
-        if self.max_size is not None and len(self._store) >= self.max_size:
-            # Drop the oldest entry; insertion order is preserved by dict.
-            oldest = next(iter(self._store))
-            del self._store[oldest]
         self._store[key] = value
 
     def lookup(self, coalition: Iterable[int]) -> Optional[float]:
         """Return the cached utility, counting a hit — or ``None`` if absent.
 
-        Unlike :meth:`peek` this participates in hit accounting; it is the
-        read half of the ``lookup``/``store`` pair used by batch evaluators
-        that compute misses externally (e.g. in a process pool).
+        The read half of the ``lookup``/``store`` pair used by batch
+        evaluators that compute misses externally (e.g. in a process pool).
         """
         key = frozenset(int(c) for c in coalition)
         with self._lock:
@@ -274,20 +253,6 @@ class UtilityCache:
             self._insert(key, float(value))
         return float(value)
 
-    def prefetch(self, coalitions: Iterable[Iterable[int]]) -> None:
-        """Evaluate (and cache) a batch of coalitions."""
-        for coalition in coalitions:
-            self.utility(coalition)
-
-    def contains(self, coalition: Iterable[int]) -> bool:
-        with self._lock:
-            return frozenset(int(c) for c in coalition) in self._store
-
-    def peek(self, coalition: Iterable[int]) -> Optional[float]:
-        """Return a cached utility without triggering evaluation or counting."""
-        with self._lock:
-            return self._store.get(frozenset(int(c) for c in coalition))
-
     def clear(self) -> None:
         """Drop the in-memory tier and reset counters.
 
@@ -309,8 +274,6 @@ class UtilityCache:
     def evaluations(self) -> int:
         """Number of FL trainings performed through this cache.
 
-        Counts evaluator calls: a coalition evicted from a bounded cache and
-        evaluated again counts twice (see :attr:`CacheStats.evaluations`).
         Values served by the persistent tier do not count — they cost no
         training.
         """

@@ -78,7 +78,7 @@ class TestUnpicklableCallable:
         assert findings == []
 
     def test_does_not_apply_to_tests(self, check_source):
-        # Test code drives the serial/thread backends with lambdas all over;
+        # Test code drives the serial backend with lambdas all over;
         # only library code must stay process-safe.
         findings = check_source(
             """

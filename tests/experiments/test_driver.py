@@ -171,7 +171,7 @@ def _execution(**overrides):
 class TestExecutionFields:
     def test_defaults_are_valid(self):
         validate_execution(_execution())
-        validate_execution(_execution(backend="fleet", queue_dir="q", worker_backend="thread"))
+        validate_execution(_execution(backend="fleet", queue_dir="q", worker_backend="process"))
 
     @pytest.mark.parametrize(
         "overrides, message",
@@ -182,6 +182,8 @@ class TestExecutionFields:
             ({"spawn_workers": -1}, "spawn_workers"),
             ({"lease_seconds": 0.0}, "lease_seconds"),
             ({"worker_backend": "fleet"}, "unknown worker backend"),
+            ({"backend": "thread"}, "unknown backend"),
+            ({"worker_backend": "thread"}, "unknown worker backend"),
         ],
     )
     def test_each_field_is_checked(self, overrides, message):
@@ -197,7 +199,7 @@ class TestExecutionFields:
             backend="fleet",
             queue_dir="q",
             spawn_workers=2,
-            worker_backend="thread",
+            worker_backend="process",
             lease_seconds=5.0,
         )
         wire = {"backend": "fleet", **fleet_fields_to_dict(custom)}
@@ -225,10 +227,10 @@ class TestConfigureExecution:
         utility = _RecordingUtility()
         telemetry = object()
         configure_execution(
-            utility, _execution(backend="thread", n_workers=2), print, telemetry
+            utility, _execution(backend="process", n_workers=2), print, telemetry
         )
         assert utility.calls == [
-            ("set_n_workers", 2, "thread"),
+            ("set_n_workers", 2, "process"),
             ("set_telemetry", telemetry),
         ]
 

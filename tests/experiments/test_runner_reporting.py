@@ -108,7 +108,7 @@ class TestRunComparison:
 
     def test_executor_backend_restored_on_callers_oracle(self):
         """The backend is restored too, not just the worker count: a serial
-        oracle must not come back holding a (one-worker) thread pool."""
+        oracle must not come back holding a worker pool."""
         from repro.parallel import BatchUtilityOracle, SerialExecutor
 
         oracle = BatchUtilityOracle(monotone_game(4, seed=8), n_clients=4)

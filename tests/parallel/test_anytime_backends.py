@@ -1,4 +1,4 @@
-"""Interrupt/resume parity across all five executor backends.
+"""Interrupt/resume parity across every executor backend.
 
 The anytime contract must hold regardless of how coalition utilities are
 evaluated: kill a run mid-chunk, restore from the JSON checkpoint, and the
@@ -59,7 +59,7 @@ def build_utility(backend: str, store=None, fleet=None):
         model_factory=model_factory(test.n_features),
         config=FLConfig(rounds=2, local_epochs=1),
         seed=SEED,
-        n_workers=2 if backend in ("thread", "process") else 1,
+        n_workers=2 if backend == "process" else 1,
         executor=executor,
         store=store,
         store_namespace="anytime-backends" if store is not None else None,

@@ -1,10 +1,9 @@
-"""Backend parity: serial / thread / process / vectorized / fleet agree.
+"""Backend parity: serial / process / vectorized / fleet agree.
 
-The satellite contract of the vectorized-engine PR, extended by the fleet
-PR to all five backends: for at least two models × two datasets, every
-executor backend produces the same utilities *and* the same ``evaluations``
-/ ``store_hits`` accounting — so switching backends can change wall-clock
-time and nothing else.
+For at least two models × two datasets, every executor backend produces
+the same utilities *and* the same ``evaluations`` / ``store_hits``
+accounting — so switching backends can change wall-clock time and nothing
+else.
 
 Everything here is module-level (no lambdas) so the process backend — and
 the fleet queue payload — can pickle the evaluators.  Fleet runs drain
@@ -87,7 +86,7 @@ def build_utility(dataset: str, model: str, backend: str, store=None, fleet=None
         model_factory=MODELS[model](test.n_features),
         config=FLConfig(rounds=2, local_epochs=1),
         seed=SEED,
-        n_workers=2 if backend in ("thread", "process") else 1,
+        n_workers=2 if backend == "process" else 1,
         executor=executor,
         store=store,
         store_namespace=f"parity-{dataset}-{model}" if store is not None else None,

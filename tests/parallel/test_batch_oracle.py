@@ -1,5 +1,7 @@
 """Tests for the batched coalition-evaluation engine (repro.parallel)."""
 
+import os
+import re
 import threading
 import time
 
@@ -10,7 +12,6 @@ from repro.parallel import (
     EXECUTOR_BACKENDS,
     ProcessPoolExecutor,
     SerialExecutor,
-    ThreadPoolExecutor,
     coalition_batch_keys,
     make_executor,
 )
@@ -42,9 +43,9 @@ class TestMakeExecutor:
     def test_default_serial_for_one_worker(self):
         assert isinstance(make_executor(None, 1), SerialExecutor)
 
-    def test_default_thread_for_many_workers(self):
+    def test_default_process_for_many_workers(self):
         executor = make_executor(None, 4)
-        assert isinstance(executor, ThreadPoolExecutor)
+        assert isinstance(executor, ProcessPoolExecutor)
         assert executor.n_workers == 4
 
     @pytest.mark.parametrize(
@@ -71,6 +72,16 @@ class TestMakeExecutor:
         executor = SerialExecutor()
         assert make_executor(executor, 8) is executor
 
+    def test_performance_doc_lists_exactly_the_registered_backends(self):
+        path = os.path.join(
+            os.path.dirname(__file__), "..", "..", "docs", "performance.md"
+        )
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        matrix = text.split("## Backend matrix", 1)[1].split("\n## ", 1)[0]
+        documented = re.findall(r"^\| `([a-z]+)` +\|", matrix, flags=re.MULTILINE)
+        assert tuple(documented) == EXECUTOR_BACKENDS
+
     def test_unknown_backend_raises(self):
         with pytest.raises(ValueError):
             make_executor("gpu", 2)
@@ -79,7 +90,7 @@ class TestMakeExecutor:
         with pytest.raises(ValueError):
             make_executor(None, 0)
         with pytest.raises(ValueError):
-            ThreadPoolExecutor(0)
+            ProcessPoolExecutor(0)
         with pytest.raises(ValueError):
             ProcessPoolExecutor(-1)
 
@@ -123,7 +134,7 @@ class TestBatchUtilityOracle:
         oracle = BatchUtilityOracle(CountingGame(), n_clients=2)
         assert oracle.evaluate_batch([]) == {}
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_backends_agree(self, executor):
         game = monotone_game(5, seed=3)
         oracle = BatchUtilityOracle(game, n_clients=5, n_workers=3, executor=executor)
@@ -148,7 +159,9 @@ class TestBatchUtilityOracle:
         assert oracle.n_workers == 1
         oracle.set_n_workers(4)
         assert oracle.n_workers == 4
-        assert isinstance(oracle.executor, ThreadPoolExecutor)  # serial upgrades
+        assert isinstance(oracle.executor, ProcessPoolExecutor)  # serial upgrades
+        oracle.set_n_workers(1)
+        assert type(oracle.executor) is SerialExecutor  # and back down
         with pytest.raises(ValueError):
             oracle.set_n_workers(0)
 
@@ -170,8 +183,8 @@ class TestBatchUtilityOracle:
         oracle.set_n_workers(2)
         assert oracle.executor is custom
         # An explicit backend name still overrides.
-        oracle.set_n_workers(3, "thread")
-        assert isinstance(oracle.executor, ThreadPoolExecutor)
+        oracle.set_n_workers(3, "process")
+        assert isinstance(oracle.executor, ProcessPoolExecutor)
 
     def test_reset_cache(self):
         oracle = BatchUtilityOracle(CountingGame(), n_clients=3)
@@ -180,14 +193,6 @@ class TestBatchUtilityOracle:
         assert oracle.evaluations == 0
         oracle.evaluate_batch([{0}])
         assert oracle.evaluations == 1
-
-    def test_prefetch_warms_cache(self):
-        game = CountingGame()
-        oracle = BatchUtilityOracle(game, n_clients=3, n_workers=2)
-        oracle.prefetch([{0, 1}, {2}])
-        assert oracle.evaluations == 2
-        assert oracle({0, 1}) == 2.0
-        assert oracle.evaluations == 2  # hit
 
 
 class TestConcurrentAccounting:
@@ -203,7 +208,8 @@ class TestConcurrentAccounting:
             time.sleep(0.002)  # widen the race window
             return float(len(coalition))
 
-        oracle = BatchUtilityOracle(evaluator, n_clients=6, n_workers=4)
+        # Serial: the single-flight cache is what these threads exercise.
+        oracle = BatchUtilityOracle(evaluator, n_clients=6, executor="serial")
         batches = [
             [{0}, {1}, {0, 1}, {2}],
             [{1}, {2}, {3}, {0, 1}],
@@ -229,7 +235,7 @@ class TestConcurrentAccounting:
 class TestOracleContextManager:
     def test_with_statement_closes_executor_pool(self):
         with BatchUtilityOracle(
-            CountingGame(), n_clients=4, n_workers=2, executor="thread"
+            CountingGame(), n_clients=4, n_workers=2, executor="process"
         ) as oracle:
             oracle.evaluate_batch([{0}, {1}, {0, 1}])
             assert oracle.evaluations == 3
@@ -237,7 +243,7 @@ class TestOracleContextManager:
 
     def test_exception_inside_with_still_closes(self):
         oracle = BatchUtilityOracle(
-            CountingGame(), n_clients=4, n_workers=2, executor="thread"
+            CountingGame(), n_clients=4, n_workers=2, executor="process"
         )
         with pytest.raises(RuntimeError):
             with oracle:

@@ -1,8 +1,8 @@
 """Parallel execution must be value-preserving.
 
 The acceptance bar for the batched engine: running any sampling algorithm
-through a :class:`BatchUtilityOracle` with ``n_workers=4`` (thread or process
-backend) produces **bitwise-identical** ``ValuationResult.values`` to serial
+through a :class:`BatchUtilityOracle` with ``n_workers=4`` (process backend)
+produces **bitwise-identical** ``ValuationResult.values`` to serial
 execution on the same seed.  This holds because (a) all randomness lives in
 the algorithm's own generator, which is untouched by how utilities are
 evaluated, and (b) per-coalition training seeds are content-derived, so a
@@ -10,6 +10,7 @@ coalition's utility is the same whichever worker computes it.
 """
 
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -46,9 +47,9 @@ def run_with(executor, n_workers):
 
 
 class TestExecutorDeterminism:
-    @pytest.mark.parametrize("executor,n_workers", [("thread", 4), ("serial", 1)])
+    @pytest.mark.parametrize("executor,n_workers", [("process", 4), ("serial", 1)])
     def test_identical_to_plain_callable(self, executor, n_workers):
-        """Batched (serial or 4-thread) == the plain sequential code path.
+        """Batched (serial or 4-process) == the plain sequential code path.
 
         ``game.utility`` is a bare bound method with no ``evaluate_batch``,
         so it exercises the sequential fallback of the planning hook.
@@ -62,11 +63,12 @@ class TestExecutorDeterminism:
         for name, values in plain.items():
             assert np.array_equal(values, batched[name]), name
 
-    def test_thread_pool_bitwise_identical_to_serial(self):
+    def test_default_pool_bitwise_identical_to_serial(self):
+        """No backend named with n_workers > 1 resolves to a process pool."""
         serial = run_with("serial", 1)
-        threaded = run_with("thread", 4)
+        pooled = run_with(None, 4)
         for name in serial:
-            assert np.array_equal(serial[name], threaded[name]), name
+            assert np.array_equal(serial[name], pooled[name]), name
 
     def test_process_pool_bitwise_identical_to_serial(self):
         serial = run_with("serial", 1)
@@ -75,8 +77,8 @@ class TestExecutorDeterminism:
             assert np.array_equal(serial[name], multiproc[name]), name
 
     def test_repeated_parallel_runs_are_stable(self):
-        first = run_with("thread", 4)
-        second = run_with("thread", 4)
+        first = run_with("process", 4)
+        second = run_with("process", 4)
         for name in first:
             assert np.array_equal(first[name], second[name]), name
 
@@ -100,8 +102,9 @@ class TestCoalitionUtilityParallel:
         return CoalitionUtility(
             client_datasets=clients,
             test_dataset=test,
-            model_factory=lambda: LogisticRegressionModel(
-                n_features=4, n_classes=2, epochs=2
+            # Picklable: n_workers > 1 defaults to the process backend.
+            model_factory=partial(
+                LogisticRegressionModel, n_features=4, n_classes=2, epochs=2
             ),
             config=FLConfig(rounds=2),
             seed=SEED,
@@ -129,8 +132,8 @@ class TestCoalitionUtilityParallel:
 class SlowGame:
     """Picklable monotone game with an artificial per-coalition cost τ.
 
-    ``time.sleep`` releases the GIL, so thread workers overlap exactly the
-    way real FL trainings overlap across processes or machines.
+    Sleeping workers overlap exactly the way real FL trainings overlap
+    across processes or machines.
     """
 
     def __init__(self, n_clients, cost):
@@ -154,7 +157,7 @@ class TestParallelSpeedup:
                 SlowGame(N_CLIENTS, cost=0.02),
                 n_clients=N_CLIENTS,
                 n_workers=n_workers,
-                executor="thread" if n_workers > 1 else "serial",
+                executor="process" if n_workers > 1 else "serial",
             )
             start = time.perf_counter()
             values = algorithm.run(oracle, N_CLIENTS).values

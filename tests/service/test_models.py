@@ -14,7 +14,7 @@ from tests.service.helpers import make_spec, make_task
 
 class TestJobSpecValidation:
     def test_valid_spec_round_trips_through_dict(self):
-        spec = make_spec(tenant="alice", priority=3, stop_on="ci:0.05", n_workers=2, backend="thread")
+        spec = make_spec(tenant="alice", priority=3, stop_on="ci:0.05", n_workers=2, backend="process")
         again = JobSpec.from_dict(spec.to_dict())
         assert again == spec
 

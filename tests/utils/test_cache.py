@@ -32,32 +32,12 @@ class TestUtilityCache:
         assert len(calls) == 1
         assert cache.stats.hits == 1
 
-    def test_call_and_utility_are_equivalent(self):
-        evaluator, _ = make_counting_evaluator()
-        cache = UtilityCache(evaluator)
-        assert cache({0}) == cache.utility({0})
-
     def test_evaluations_counts_distinct_coalitions(self):
         evaluator, _ = make_counting_evaluator()
         cache = UtilityCache(evaluator)
         for coalition in [{0}, {1}, {0, 1}, {0}, {1}]:
             cache.utility(coalition)
         assert cache.evaluations == 3
-
-    def test_prefetch(self):
-        evaluator, calls = make_counting_evaluator()
-        cache = UtilityCache(evaluator)
-        cache.prefetch([{0}, {1}, {0, 1}])
-        assert len(calls) == 3
-        assert cache.contains({0, 1})
-
-    def test_peek_does_not_evaluate(self):
-        evaluator, calls = make_counting_evaluator()
-        cache = UtilityCache(evaluator)
-        assert cache.peek({0}) is None
-        assert len(calls) == 0
-        cache.utility({0})
-        assert cache.peek({0}) == 1.0
 
     def test_clear_resets_everything(self):
         evaluator, _ = make_counting_evaluator()
@@ -66,17 +46,6 @@ class TestUtilityCache:
         cache.clear()
         assert len(cache) == 0
         assert cache.evaluations == 0
-
-    def test_max_size_evicts_oldest(self):
-        evaluator, calls = make_counting_evaluator()
-        cache = UtilityCache(evaluator, max_size=2)
-        cache.utility({0})
-        cache.utility({1})
-        cache.utility({2})  # evicts {0}
-        assert len(cache) == 2
-        assert not cache.contains({0})
-        cache.utility({0})  # re-evaluated
-        assert len(calls) == 4
 
     def test_hit_rate(self):
         evaluator, _ = make_counting_evaluator()
@@ -92,22 +61,6 @@ class TestUtilityCache:
         cache.utility(frozenset())
         cache.utility(set())
         assert len(calls) == 1
-
-
-class TestEvictionSemantics:
-    def test_re_evaluation_after_eviction_counts_again(self):
-        """``evaluations`` models FL-training cost, not distinct coalitions:
-        a coalition evicted from a bounded cache and revisited is retrained
-        and the counter reflects that."""
-        evaluator, calls = make_counting_evaluator()
-        cache = UtilityCache(evaluator, max_size=1)
-        cache.utility({0})
-        cache.utility({1})  # evicts {0}
-        cache.utility({0})  # re-trained
-        assert len(calls) == 3
-        assert cache.evaluations == 3  # counts evaluator calls, not distinct
-        distinct = {frozenset(c) for c in calls}
-        assert len(distinct) == 2  # ... which here exceed the distinct count
 
 
 class TestLookupStore:
@@ -129,23 +82,15 @@ class TestLookupStore:
         assert cache.utility({0, 1}) == 0.75
         assert cache.stats.hits == 1
 
-    def test_store_respects_max_size(self):
-        evaluator, _ = make_counting_evaluator()
-        cache = UtilityCache(evaluator, max_size=1)
-        cache.store({0}, 1.0)
-        cache.store({1}, 2.0)
-        assert len(cache) == 1
-        assert not cache.contains({0})
-
-    def test_restoring_existing_key_neither_evicts_nor_recounts(self):
+    def test_restoring_existing_key_does_not_recount(self):
         """Two overlapping batches depositing the same coalition must not
-        evict an unrelated entry from a full cache or inflate the counter."""
+        inflate the miss counter."""
         evaluator, _ = make_counting_evaluator()
-        cache = UtilityCache(evaluator, max_size=2)
+        cache = UtilityCache(evaluator)
         cache.store({0}, 1.0)
         cache.store({1}, 2.0)
         cache.store({1}, 2.0)  # duplicate deposit
-        assert cache.contains({0})  # {0} survived
+        assert len(cache) == 2
         assert cache.evaluations == 2
         assert cache.utility({1}) == 2.0
 
