@@ -82,6 +82,13 @@ class TestMakeExecutor:
         documented = re.findall(r"^\| `([a-z]+)` +\|", matrix, flags=re.MULTILINE)
         assert tuple(documented) == EXECUTOR_BACKENDS
 
+    def test_thread_is_no_longer_a_backend(self):
+        # Saved manifests and queued jobs naming it get the unknown-backend
+        # error rather than a silent substitute.
+        assert "thread" not in EXECUTOR_BACKENDS
+        with pytest.raises(ValueError, match="unknown"):
+            make_executor("thread", 2)
+
     def test_unknown_backend_raises(self):
         with pytest.raises(ValueError):
             make_executor("gpu", 2)
@@ -134,8 +141,10 @@ class TestBatchUtilityOracle:
         oracle = BatchUtilityOracle(CountingGame(), n_clients=2)
         assert oracle.evaluate_batch([]) == {}
 
-    @pytest.mark.parametrize("executor", ["serial", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process", "vectorized"])
     def test_backends_agree(self, executor):
+        # A plain game has no FederatedTrainer, so vectorized runs its
+        # serial fallback and must agree all the same.
         game = monotone_game(5, seed=3)
         oracle = BatchUtilityOracle(game, n_clients=5, n_workers=3, executor=executor)
         batch = [{0}, {1, 2}, {0, 1, 2, 3, 4}, frozenset(), {4}]
@@ -186,6 +195,26 @@ class TestBatchUtilityOracle:
         oracle.set_n_workers(3, "process")
         assert isinstance(oracle.executor, ProcessPoolExecutor)
 
+    def test_set_n_workers_keeps_a_vectorized_backend(self):
+        oracle = BatchUtilityOracle(CountingGame(), n_clients=3, executor="vectorized")
+        vectorized = oracle.executor
+        oracle.set_n_workers(4)
+        assert oracle.executor is vectorized
+        assert oracle.n_workers == 4
+
+    def test_set_n_workers_closes_the_replaced_pool(self):
+        oracle = BatchUtilityOracle(
+            CountingGame(), n_clients=3, n_workers=2, executor="process"
+        )
+        oracle.evaluate_batch([{0}, {1}, {2}])
+        previous = oracle.executor
+        assert previous._pool is not None
+        oracle.set_n_workers(3)
+        assert oracle.executor is not previous
+        assert oracle.executor.n_workers == 3
+        assert previous._pool is None
+        oracle.close()
+
     def test_reset_cache(self):
         oracle = BatchUtilityOracle(CountingGame(), n_clients=3)
         oracle.evaluate_batch([{0}, {1}])
@@ -193,6 +222,66 @@ class TestBatchUtilityOracle:
         assert oracle.evaluations == 0
         oracle.evaluate_batch([{0}])
         assert oracle.evaluations == 1
+
+
+class TestProcessPoolExecutor:
+    def test_pool_is_reused_across_batches(self):
+        executor = ProcessPoolExecutor(2)
+        game = monotone_game(4, seed=2)
+        try:
+            first = executor.map_utilities(game, [frozenset({0}), frozenset({1})])
+            pool = executor._pool
+            second = executor.map_utilities(game, [frozenset({2}), frozenset({3})])
+            assert executor._pool is pool
+        finally:
+            executor.close()
+        assert first == [game._table[frozenset({0})], game._table[frozenset({1})]]
+        assert second == [game._table[frozenset({2})], game._table[frozenset({3})]]
+
+    def test_next_batch_after_close_recreates_the_pool(self):
+        executor = ProcessPoolExecutor(2)
+        game = monotone_game(3, seed=4)
+        batch = [frozenset({0}), frozenset({1, 2})]
+        before = executor.map_utilities(game, batch)
+        executor.close()
+        assert executor._pool is None
+        try:
+            assert executor.map_utilities(game, batch) == before
+            assert executor._pool is not None
+        finally:
+            executor.close()
+
+    def test_single_coalition_batch_skips_the_pool(self):
+        executor = ProcessPoolExecutor(2)
+        game = monotone_game(3, seed=5)
+        assert executor.map_utilities(game, [frozenset({1})]) == [
+            game._table[frozenset({1})]
+        ]
+        assert executor._pool is None
+
+
+class TestCoalitionUtilityIsTheOracle:
+    def test_subclass_defines_no_forwarders(self):
+        from repro.fl import CoalitionUtility
+
+        assert issubclass(CoalitionUtility, BatchUtilityOracle)
+        own = {
+            name for name, member in vars(CoalitionUtility).items()
+            if callable(member) and not name.startswith("__")
+        }
+        inherited = set(dir(BatchUtilityOracle))
+        assert not own & inherited, sorted(own & inherited)
+
+    def test_tracer_patch_points_live_in_the_class_dicts(self):
+        # Tracing wraps these by looking each one up in the defining class's
+        # __dict__; a subclass override would bypass the wrapper.
+        from repro.fl import CoalitionUtility
+        from repro.utils.cache import UtilityCache
+
+        assert callable(vars(UtilityCache)["utility"])
+        assert callable(vars(UtilityCache)["lookup"])
+        assert callable(vars(BatchUtilityOracle)["evaluate_batch"])
+        assert "evaluate_batch" not in vars(CoalitionUtility)
 
 
 class TestConcurrentAccounting:

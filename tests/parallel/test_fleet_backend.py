@@ -37,6 +37,14 @@ def grid(n=N):
 
 
 class TestFleetWiring:
+    def test_worker_backends_are_executor_backends_without_fleet(self, tmp_path):
+        from repro.fleet.coordinator import WORKER_BACKENDS
+        from repro.parallel import EXECUTOR_BACKENDS
+
+        assert WORKER_BACKENDS == tuple(b for b in EXECUTOR_BACKENDS if b != "fleet")
+        with pytest.raises(ValueError, match="unknown worker backend"):
+            FleetExecutor(queue_dir=str(tmp_path / "q"), worker_backend="fleet")
+
     def test_rejects_memory_store(self, tmp_path):
         evaluator = ModeledCostEvaluator(n_clients=4, seed=SEED)
         executor = FleetExecutor(queue_dir=str(tmp_path / "q"))

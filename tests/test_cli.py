@@ -117,6 +117,15 @@ class TestRunResume:
                 "--backend", "gpu", *TASK_FLAGS,
             ])
 
+    @pytest.mark.parametrize("flag", ["--backend", "--worker-backend"])
+    def test_thread_backend_is_not_a_cli_choice(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit):
+            main([
+                "run", "--run-dir", str(tmp_path / "run"),
+                flag, "thread", *TASK_FLAGS,
+            ])
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
+
     def test_resume_subcommand_reads_plan_from_manifest(self, tmp_path, capsys):
         store = str(tmp_path / "store.sqlite")
         run_dir = str(tmp_path / "run")
