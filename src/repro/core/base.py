@@ -40,16 +40,6 @@ UtilityFunction = Callable[[Iterable[int]], float]
 
 
 @runtime_checkable
-class UtilityOracle(Protocol):
-    """Structural type for utility oracles with cost accounting."""
-
-    def __call__(self, coalition: Iterable[int]) -> float: ...
-
-    @property
-    def evaluations(self) -> int: ...
-
-
-@runtime_checkable
 class SupportsBatchEvaluation(Protocol):
     """Structural type for oracles that accept whole coalition batches.
 

@@ -77,9 +77,6 @@ class BatchUtilityOracle:
         :class:`~repro.fl.federation.FederatedTrainer` with a
         vectorization-capable model (and falls back to the serial loop
         otherwise — see ``docs/performance.md``).
-    cache:
-        Optional pre-existing :class:`UtilityCache` to share; by default the
-        oracle owns a fresh unbounded one.
     store:
         Optional persistent tier beneath the cache: a
         :class:`~repro.store.UtilityStore` instance (caller keeps ownership)
@@ -106,7 +103,6 @@ class BatchUtilityOracle:
         n_clients: Optional[int] = None,
         n_workers: int = 1,
         executor: ExecutorLike = None,
-        cache: Optional[UtilityCache] = None,
         store: StoreLike = None,
         store_namespace: Optional[str] = None,
         telemetry: Optional[Telemetry] = None,
@@ -115,7 +111,7 @@ class BatchUtilityOracle:
             n_clients = getattr(evaluator, "n_clients", None)
         self._n_clients = None if n_clients is None else int(n_clients)
         self._evaluator = evaluator
-        self._cache = cache if cache is not None else UtilityCache(evaluator=evaluator)
+        self._cache = UtilityCache(evaluator=evaluator)
         self._owns_store = False
         self._telemetry = telemetry
         self._cache.set_telemetry(telemetry)

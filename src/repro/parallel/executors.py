@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import abc
 import concurrent.futures
+import multiprocessing
+import threading
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -107,6 +109,18 @@ class SerialExecutor(CoalitionExecutor):
         return [float(evaluator(coalition)) for coalition in coalitions]
 
 
+def _worker_context():
+    """The platform's start method, unless it would fork a threaded process."""
+    default = multiprocessing.get_context()
+    if default.get_start_method() != "fork" or threading.active_count() == 1:
+        return default
+    context = multiprocessing.get_context("forkserver")
+    # The server imports the package once; each worker forked from it then
+    # starts with it loaded instead of paying a fresh import.
+    context.set_forkserver_preload(["repro"])
+    return context
+
+
 class ProcessPoolExecutor(CoalitionExecutor):
     """Evaluates coalitions concurrently in a persistent process pool.
 
@@ -120,6 +134,11 @@ class ProcessPoolExecutor(CoalitionExecutor):
     and paying pool startup and evaluator pickling per batch would dwarf the
     work being parallelised.  ``close`` releases the pool; the next call
     transparently recreates it.
+
+    A process running other threads (the service's scheduler, HTTP and
+    telemetry threads) starts its workers by ``forkserver``, never ``fork``:
+    a forked child can inherit a lock another thread holds.  So a script
+    that builds a pool needs an ``if __name__ == "__main__":`` guard.
     """
 
     shares_memory = False
@@ -138,7 +157,7 @@ class ProcessPoolExecutor(CoalitionExecutor):
             return SerialExecutor().map_utilities(evaluator, coalitions)
         if self._pool is None:
             self._pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.n_workers
+                max_workers=self.n_workers, mp_context=_worker_context()
             )
         try:
             return [float(v) for v in self._pool.map(evaluator, coalitions)]

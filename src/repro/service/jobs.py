@@ -101,7 +101,7 @@ def _record_from_row(row: tuple) -> JobRecord:
     ) = row
     return JobRecord(
         job_id=job_id,
-        spec=JobSpec.from_dict(json.loads(spec_json)),
+        spec=JobSpec.from_stored(json.loads(spec_json)),
         status=status,
         namespace=namespace,
         task_fingerprint=task_fingerprint,

@@ -25,7 +25,7 @@ uninterrupted run.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Optional
 
 from repro.core import parse_stopping_rule
@@ -200,6 +200,22 @@ class JobSpec:
             checkpoint_every=int(payload.get("checkpoint_every", 1)),
             **execution_from_dict(payload),
         )
+
+    @classmethod
+    def from_stored(cls, payload: dict) -> "JobSpec":
+        """Rebuild a saved spec, unchecked if it no longer validates.
+
+        A spec saved by an earlier release may name a since-removed backend;
+        its job must still list, fetch and fail instead of raising on read.
+        """
+        try:
+            return cls.from_dict(payload)
+        except ValueError:
+            spec = object.__new__(cls)
+            defaults = {f.name: f.default for f in fields(cls)}
+            for name, value in {**defaults, **payload}.items():
+                object.__setattr__(spec, name, value)
+            return spec
 
 
 @dataclass

@@ -278,8 +278,3 @@ class UtilityCache:
         training.
         """
         return self.stats.evaluations
-
-    @property
-    def store_hits(self) -> int:
-        """Number of lookups served by the persistent disk tier."""
-        return self.stats.store_hits

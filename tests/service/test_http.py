@@ -1,5 +1,6 @@
 """The HTTP surface, end to end: real sockets on an ephemeral port."""
 
+import contextlib
 import json
 import threading
 import urllib.request
@@ -7,14 +8,22 @@ import urllib.request
 import pytest
 
 from repro.service.client import ServiceClient, ServiceError
+from repro.service.jobs import JobStore
 from repro.service.scheduler import ValuationService
 from repro.service.server import serve
+from repro.service.stream import read_events
 from tests.service.helpers import direct_values, make_spec, make_task
 
 
 @pytest.fixture
 def service_client(tmp_path):
-    service = ValuationService(str(tmp_path / "state"), workers=2).start()
+    with serving(str(tmp_path / "state")) as pair:
+        yield pair
+
+
+@contextlib.contextmanager
+def serving(state_dir):
+    service = ValuationService(state_dir, workers=2).start()
     server = serve(service, host="127.0.0.1", port=0)
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.1}, daemon=True
@@ -98,6 +107,45 @@ class TestJobEndpoints:
         assert response["status"] in ("cancelled", "cancelling")
         final = client.wait(victim["job_id"], timeout=60.0)
         assert final["status"] == "cancelled"
+
+
+class TestStoredSpecsThatNoLongerValidate:
+    def test_stale_rows_stay_readable_and_the_service_keeps_serving(
+        self, tmp_path
+    ):
+        # Rows saved while "thread" was still a backend: one queued, one done.
+        state_dir = str(tmp_path / "state")
+        with JobStore(state_dir) as jobs:
+            queued = jobs.submit(make_spec(n_clients=4)).job_id
+            done = jobs.submit(make_spec(n_clients=4, seed=1)).job_id
+            stale = {
+                **make_spec(n_clients=4).to_dict(), "backend": "thread", "n_workers": 2
+            }
+            jobs._transaction(
+                lambda c: c.execute("UPDATE jobs SET spec = ?", (json.dumps(stale),))
+            )
+            jobs._transaction(
+                lambda c: c.execute(
+                    "UPDATE jobs SET status = 'done', result = '{}' WHERE job_id = ?",
+                    (done,),
+                )
+            )
+        with serving(state_dir) as (service, client):
+            failed = client.wait(queued, timeout=60.0)
+            assert failed["status"] == "failed"
+            assert "unknown executor backend 'thread'" in failed["error"]
+            assert failed["spec"]["backend"] == "thread"
+            events = read_events(service.event_log_path(queued))
+            assert events[-1]["event"] == "failed"
+            listed = {job["job_id"]: job["status"] for job in client.jobs()}
+            assert listed == {queued: "failed", done: "done"}
+            # The scheduler threads survived: a fresh job still runs.
+            spec = make_spec(n_clients=4, seed=2)
+            fresh = client.wait(client.submit(spec.to_dict())["job_id"], timeout=60.0)
+            assert fresh["status"] == "done"
+            assert fresh["result"]["result"]["values"] == direct_values(
+                spec.task, spec.algorithm
+            )
 
 
 class TestStreaming:

@@ -59,19 +59,6 @@ class TestJobSpecValidation:
                 worker_backend="bogus",
             )
 
-    def test_thread_backend_rejected(self, tmp_path):
-        # A job queued before the thread backend was removed fails at
-        # submit, not inside a scheduler thread.
-        with pytest.raises(ValueError, match="unknown backend"):
-            make_spec(backend="thread", n_workers=2)
-        with pytest.raises(ValueError, match="unknown worker backend"):
-            make_spec(
-                algorithm="IPSS",
-                backend="fleet",
-                queue_dir=str(tmp_path / "queue"),
-                worker_backend="thread",
-            )
-
     def test_fleet_backend_requires_queue_dir(self):
         with pytest.raises(ValueError, match="queue"):
             make_spec(backend="fleet")

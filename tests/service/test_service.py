@@ -66,6 +66,20 @@ class TestHappyPath:
         finally:
             service.stop()
 
+    def test_many_workers_without_a_backend_run_on_the_process_pool(self, tmp_path):
+        # The pool starts its workers without forking this multi-threaded
+        # server process (HTTP, scheduler and telemetry threads).
+        service = start_service(tmp_path)
+        try:
+            spec = make_spec(n_clients=QUICK, n_workers=2)
+            final = wait_terminal(service, service.submit(spec).job_id)
+            assert final.status == "done"
+            assert final.result["result"]["values"] == direct_values(
+                spec.task, spec.algorithm
+            )
+        finally:
+            service.stop()
+
     def test_a_failing_job_fails_alone(self, tmp_path):
         service = start_service(tmp_path)
         try:

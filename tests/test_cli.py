@@ -111,20 +111,17 @@ class TestRunResume:
         assert serial["rows"][0]["store_hits"] == 8
 
     def test_unknown_backend_is_a_clean_error(self, tmp_path, capsys):
-        with pytest.raises(SystemExit):
-            main([
-                "run", "--run-dir", str(tmp_path / "run"),
-                "--backend", "gpu", *TASK_FLAGS,
-            ])
-
-    @pytest.mark.parametrize("flag", ["--backend", "--worker-backend"])
-    def test_thread_backend_is_not_a_cli_choice(self, tmp_path, capsys, flag):
-        with pytest.raises(SystemExit):
-            main([
-                "run", "--run-dir", str(tmp_path / "run"),
-                flag, "thread", *TASK_FLAGS,
-            ])
-        assert "invalid choice: 'thread'" in capsys.readouterr().err
+        for flag, name in [
+            ("--backend", "gpu"),
+            ("--backend", "thread"),
+            ("--worker-backend", "thread"),
+        ]:
+            with pytest.raises(SystemExit):
+                main([
+                    "run", "--run-dir", str(tmp_path / "run"),
+                    flag, name, *TASK_FLAGS,
+                ])
+            assert f"invalid choice: '{name}'" in capsys.readouterr().err
 
     def test_resume_subcommand_reads_plan_from_manifest(self, tmp_path, capsys):
         store = str(tmp_path / "store.sqlite")
